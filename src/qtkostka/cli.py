@@ -13,7 +13,7 @@ import sys
 
 from .errors import ConsistencyError, DomainError
 from .haglund import check_pair, scan
-from .macdonald import build_matrices, k_coeff
+from .macdonald import MATRIX_FIELDS, build_matrices, k_coeff
 from .oracle import (
     check_pairing_normalization,
     check_Qn_plethysm,
@@ -23,16 +23,6 @@ from .oracle import (
 )
 from .partitions import Partition, partition, partitions_of
 from .reductions import classify_bz, decompose_irreducible, f_stat, f_stat_closed
-
-_MATRIX_CHOICES = ("k", "k1", "k1inv", "k2", "k2inv")
-_BUNDLE_FIELDS = {
-    "k": "kostka",
-    "k1": "k1",
-    "k1inv": "k1_inv",
-    "k2": "k2",
-    "k2inv": "k2_inv",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
@@ -95,7 +85,7 @@ def _cmd_kcoeff(args) -> int:
 
 def _cmd_matrix(args) -> int:
     bundle = build_matrices(args.n, cache_dir=_cache_dir(args))
-    mat = getattr(bundle, _BUNDLE_FIELDS[args.which])
+    mat = getattr(bundle, MATRIX_FIELDS[args.which])
     if args.format == "latex":
         sys.stdout.write(mat.latex() + "\n")
     elif args.format == "pretty":
@@ -228,7 +218,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("matrix", help="emit a transition matrix for degree n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--which", choices=_MATRIX_CHOICES, required=True)
+    p.add_argument("--which", choices=tuple(MATRIX_FIELDS), required=True)
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("reduce", help="decomposition tree of a pair")

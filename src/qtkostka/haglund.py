@@ -29,7 +29,7 @@ from .qt import (
     QtPolynomial,
     divide_by_one_minus_t_power,
     is_nonneg_polynomial,
-    t_number,
+    times_t_number,
 )
 from .reductions import decompose_irreducible, fast_k
 from .tableaux import kostka_number
@@ -79,7 +79,7 @@ def fast_row_quotient(n: int, mu: Partition, k: int) -> QtPolynomial:
     result = QtPolynomial.monomial(1, 0, n_stat(mu))
     for x in cells(mu):
         s = diagram_stats(mu, x)
-        result = result * t_number(k * (s.coarm + 1) - s.coleg)
+        result = times_t_number(result, k * (s.coarm + 1) - s.coleg)
     return result
 
 
@@ -95,7 +95,7 @@ def fast_column_quotient(lam: Partition, n: int, k: int) -> QtPolynomial:
     result = kostka_foulkes_hook_form(lam)
     for x in cells(lam):
         s = diagram_stats(lam, x)
-        result = result * t_number(k - s.content)
+        result = times_t_number(result, k - s.content)
     return result
 
 

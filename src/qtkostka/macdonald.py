@@ -233,13 +233,6 @@ class TriangularMatrix:
                 inv[i][j] = -acc
         return TriangularMatrix(self.n, inv)
 
-    def map_entries(
-        self, fn: Callable[[QtRational], QtRational]
-    ) -> "TriangularMatrix":
-        return TriangularMatrix(
-            self.n, [[fn(e) for e in row] for row in self.entries]
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriangularMatrix) or self.n != other.n:
             return NotImplemented
@@ -295,7 +288,10 @@ class MatrixBundle(NamedTuple):
     k2_inv: TriangularMatrix
 
 
-_MATRIX_NAMES = ("k", "k1", "k1inv", "k2", "k2inv")
+# CLI and cache-file name of each bundle field, in field order
+MATRIX_FIELDS = dict(
+    zip(("k", "k1", "k1inv", "k2", "k2inv"), MatrixBundle._fields)
+)
 
 
 def _cache_path(cache_dir: str, name: str, n: int) -> str:
@@ -335,7 +331,7 @@ def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
         raise DomainError(f"negative degree {n}")
     bundle = _memory_cache.get(n)
     paths = (
-        [_cache_path(cache_dir, name, n) for name in _MATRIX_NAMES]
+        [_cache_path(cache_dir, name, n) for name in MATRIX_FIELDS]
         if cache_dir is not None
         else None
     )
@@ -346,7 +342,7 @@ def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
     _memory_cache[n] = bundle
     if paths is not None and not all(os.path.exists(p) for p in paths):
         os.makedirs(cache_dir, exist_ok=True)
-        for name, path, mat in zip(_MATRIX_NAMES, paths, bundle):
+        for name, path, mat in zip(MATRIX_FIELDS, paths, bundle):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(mat.to_obj(name), fh, sort_keys=True)
     return bundle
@@ -355,11 +351,13 @@ def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
 # -- integral form coefficients ----------------------------------------------
 
 
-@cache
 def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
     """k(lambda, mu) = K2 entry times c'_mu, normalized to a polynomial."""
-    lam = partition(lam)
-    mu = partition(mu)
+    return _k_coeff(partition(lam), partition(mu))
+
+
+@cache
+def _k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
     if sum(lam) != sum(mu):
         return QtPolynomial.zero()
     k2 = build_matrices(sum(lam)).k2.entry(lam, mu)

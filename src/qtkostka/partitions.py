@@ -41,13 +41,6 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
 
 
-def contains(outer: Partition, inner: Partition) -> bool:
-    """Diagram containment: inner fits inside outer row by row."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
 def cells(lam: Partition) -> Iterator[Cell]:
     """All cells of the diagram, row-major, 1-based."""
     for r, row_len in enumerate(lam, start=1):

@@ -267,32 +267,48 @@ def t_number(j: int) -> QtPolynomial:
 def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
     """Exact quotient p / (1 - q^a t^b), or None if the division leaves a remainder.
 
-    Works on Laurent polynomials.  Processes the remainder from its
-    graded-lex-smallest term upward; a term escaping past the dividend's
-    top degree proves inexactness.
+    Works on Laurent polynomials.  With X = q^a t^b, p splits along the
+    lattice lines e0 + m(a, b) as p = sum_e0 q^e0_q t^e0_t f_e0(X), and
+    multiplying by 1 - X keeps each line to itself.  Since (1 - X) divides
+    f exactly when f(1) = 0, p is divisible if and only if the coefficients
+    on every line sum to 0.  The quotient on a line is then the running
+    sum of its coefficients, taken in increasing m.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise DomainError(f"not a binomial denominator: (1 - q^{a} t^{b})")
-    if p.is_zero:
-        return QtPolynomial.zero()
-    remainder = dict(p._terms)
-    max_key = max(_grading_key(e) for e in remainder)
-    quotient: dict[ExponentPair, int] = {}
-    while remainder:
-        e = min(remainder, key=_grading_key)
-        if _grading_key(e) > max_key:
-            return None
-        c = remainder.pop(e)
-        quotient[e] = c
-        shifted = (e[0] + a, e[1] + b)
-        new = remainder.get(shifted, 0) + c
-        if new:
-            remainder[shifted] = new
+    # a line is keyed by its base point, the lattice point on it with
+    # 0 <= e_q < a (0 <= e_t < b when a = 0); m counts steps of (a, b)
+    lines: dict[ExponentPair, list[tuple[int, int]]] = {}
+    for (eq, et), c in p._terms.items():
+        m = eq // a if a else et // b
+        base = (eq - m * a, et - m * b)
+        line = lines.get(base)
+        if line is None:
+            lines[base] = [(m, c)]
         else:
-            remainder.pop(shifted, None)
+            line.append((m, c))
+    for line in lines.values():
+        if sum(c for _, c in line):
+            return None
+    quotient: dict[ExponentPair, int] = {}
+    for (bq, bt), line in lines.items():
+        line.sort()
+        running = 0
+        for (m, c), (m_next, _) in zip(line, line[1:]):
+            running += c
+            if running:
+                for j in range(m, m_next):
+                    quotient[(bq + j * a, bt + j * b)] = running
     out = QtPolynomial.__new__(QtPolynomial)
     out._terms = quotient
     return out
+
+
+def times_t_number(p: QtPolynomial, j: int) -> QtPolynomial:
+    """p * [j]_t, computed as (p - t^j p) / (1 - t) without expanding [j]_t."""
+    if j < 0:
+        raise DomainError(f"t-number needs j >= 0, got {j}")
+    return exact_div_binomial(p - p * QtPolynomial.monomial(1, 0, j), 0, 1)
 
 
 class DivisionResult(NamedTuple):

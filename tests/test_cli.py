@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,26 @@ def test_matrix_json(capsys, tmp_path):
         "den": [[1, 1, 1]],
     }
     assert (tmp_path / "k2_n2.json").exists()
+
+
+# SHA-256 of `matrix --n 5 --which W` stdout.  The num/den form of an entry
+# is not canonical, so this pins the arithmetic path, not just the values.
+MATRIX_N5_SHA256 = {
+    "k": "469513909c84afd8e681eb69d2f623c37df3c4cf97f14f28a6553cf571fdee27",
+    "k1": "4eafe79129d99ca7c4ec8e3c623ab6cf1e553ac60570319310cea855b5443966",
+    "k1inv": "637ed1a0e4df73ea9bec3280dbaf088a2e2dc094a16a9c990fa3f3bb9b0f4017",
+    "k2": "d422404e10937077cb03d24326079a34244c23e3dbc39c9cf1554b62b62c7641",
+    "k2inv": "a49bea9f659620061356011f1a9f52c434a1043d9a19401de981894da555ea17",
+}
+
+
+@pytest.mark.parametrize("which", sorted(MATRIX_N5_SHA256))
+def test_matrix_n5_golden(capsys, tmp_path, which):
+    code, out, _ = run_cli(
+        capsys, "--cache-dir", str(tmp_path), "matrix", "--n", "5", "--which", which
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_N5_SHA256[which]
 
 
 def test_matrix_latex(capsys, tmp_path):

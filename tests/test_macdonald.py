@@ -109,6 +109,11 @@ def test_k_coeff_examples():
     assert k_coeff((2,), (2, 1)).is_zero  # size mismatch
 
 
+def test_k_coeff_accepts_lists():
+    assert k_coeff([2], [1, 1]) == k_coeff((2,), (1, 1))
+    assert k_coeff([3, 1, 0], [2, 1, 1]) == k_coeff((3, 1), (2, 1, 1))
+
+
 def test_k_coeff_q_zero_matches_charge():
     for n in range(1, 6):
         for lam in partitions_of(n):

@@ -14,6 +14,7 @@ from qtkostka.qt import (
     expand_factors,
     is_nonneg_polynomial,
     t_number,
+    times_t_number,
 )
 
 
@@ -161,13 +162,69 @@ def test_normalization_idempotent(r):
     assert again.num == r.num and again.den == r.den
 
 
-@given(qt_polynomials(), st.integers(0, 2), st.integers(0, 2))
-@settings(max_examples=60, deadline=None)
-def test_multiply_then_divide(p, a, b):
-    if (a, b) == (0, 0):
-        return
+binomial_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+    lambda e: e != (0, 0)
+)
+
+
+def _reference_div(p, a, b):
+    # Brute-force reference sharing no code with the library: move the
+    # graded-lex-smallest remainder term into the quotient until the
+    # remainder is empty (exact) or passes the top degree (inexact).
+    def key(e):
+        return (e[0] + e[1], e[0], e[1])
+
+    remainder = dict(p._terms)
+    if not remainder:
+        return {}
+    top = max(key(e) for e in remainder)
+    quotient = {}
+    while remainder:
+        e = min(remainder, key=key)
+        if key(e) > top:
+            return None
+        c = remainder.pop(e)
+        quotient[e] = c
+        shifted = (e[0] + a, e[1] + b)
+        new = remainder.get(shifted, 0) + c
+        if new:
+            remainder[shifted] = new
+        else:
+            remainder.pop(shifted, None)
+    return quotient
+
+
+@given(qt_polynomials(), binomial_exponents)
+@settings(max_examples=200, deadline=None)
+def test_multiply_then_divide(p, ab):
+    a, b = ab
     product = p * binomial_poly(a, b)
     assert exact_div_binomial(product, a, b) == p
+
+
+@given(qt_polynomials(), binomial_exponents, st.sampled_from([None, 0, Q, -T]))
+@settings(max_examples=300, deadline=None)
+def test_division_matches_reference_scan(p, ab, offset):
+    # an arbitrary p, or a multiple of the binomial, exact or one term off
+    if offset is not None:
+        p = p * binomial_poly(*ab) + offset
+    got = exact_div_binomial(p, *ab)
+    want = _reference_div(p, *ab)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == QtPolynomial(want)
+
+
+@given(qt_polynomials(), st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_times_t_number(p, j):
+    assert times_t_number(p, j) == p * t_number(j)
+
+
+def test_times_t_number_edges():
+    assert times_t_number(1 + Q, 0).is_zero
+    with pytest.raises(DomainError):
+        times_t_number(ONE, -1)
 
 
 def _lift_to_sympy_field(r):
