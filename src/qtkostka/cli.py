@@ -14,13 +14,6 @@ import sys
 from .errors import ConsistencyError, DomainError
 from .haglund import check_pair, scan
 from .macdonald import MATRIX_FIELDS, build_matrices, k_coeff
-from .oracle import (
-    check_pairing_normalization,
-    check_Qn_plethysm,
-    gram_schmidt_P,
-    orthogonality_audit,
-    pair_equals_qtrational,
-)
 from .partitions import Partition, partition, partitions_of
 from .reductions import classify_bz, decompose_irreducible, f_stat, f_stat_closed
 
@@ -51,6 +44,15 @@ def _cache_dir(args) -> str | None:
 
 def oracle_verify_degree(n: int) -> dict:
     """Pass/fail results for one degree of the oracle cross-check."""
+    # imported here so that only this command pays for loading sympy
+    from .oracle import (
+        check_pairing_normalization,
+        check_Qn_plethysm,
+        gram_schmidt_P,
+        orthogonality_audit,
+        pair_equals_qtrational,
+    )
+
     k1 = build_matrices(n).k1
     built = gram_schmidt_P(n)
     parts = partitions_of(n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .errors import DomainError
-from .macdonald import build_matrices, kostka_foulkes_hook_form
+from .macdonald import kostka_foulkes_hook_form
 from .partitions import (
     Partition,
     cells,
@@ -220,8 +220,6 @@ def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
         for mu in partitions_of(n)
         if dominance_leq(mu, lam)
     ]
-    for n in range(1, max_n + 1):
-        build_matrices(n)  # warm before forking so workers share the memo
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     if jobs == 1 or len(pairs) < 2 * jobs:

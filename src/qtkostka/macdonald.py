@@ -19,6 +19,7 @@ from .partitions import (
     cells,
     conjugate,
     diagram_stats,
+    dominance_leq,
     n_stat,
     partition,
     partitions_of,
@@ -182,7 +183,11 @@ class TriangularMatrix:
         )
 
     def entry(self, lam: Partition, mu: Partition) -> QtRational:
-        return self.entries[self._pos[tuple(lam)]][self._pos[tuple(mu)]]
+        i = self._pos.get(tuple(lam))
+        j = self._pos.get(tuple(mu))
+        if i is None or j is None:
+            raise DomainError(f"{lam}, {mu}: not both partitions of {self.n}")
+        return self.entries[i][j]
 
     def is_unitriangular(self) -> bool:
         for i in range(len(self.index)):
@@ -255,6 +260,8 @@ class TriangularMatrix:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TriangularMatrix":
+        if not isinstance(obj, dict):
+            raise DomainError("cache file does not hold a matrix object")
         if obj.get("format_version") != CACHE_FORMAT_VERSION:
             raise DomainError("cache format version mismatch")
         n = obj["n"]
@@ -321,12 +328,27 @@ def _load_cached(paths: list[str]) -> MatrixBundle | None:
             with open(p, "r", encoding="utf-8") as fh:
                 mats.append(TriangularMatrix.from_obj(json.load(fh)))
         return MatrixBundle(*mats)
-    except (DomainError, KeyError, json.JSONDecodeError):
-        return None  # stale or foreign cache: rebuild
+    except (DomainError, KeyError, TypeError, ValueError):
+        return None  # stale, foreign or damaged cache: rebuild
+
+
+def _write_atomic(path: str, obj: dict) -> None:
+    # readers see the old file or the whole new one, never a partial write
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
-    """K, K1, K1^-1, K2, K2^-1 at degree n, optionally cached on disk."""
+    """K, K1, K1^-1, K2, K2^-1 at degree n, optionally cached on disk.
+
+    A cache that is missing, stale or damaged is rewritten in full.
+    """
     if n < 0:
         raise DomainError(f"negative degree {n}")
     bundle = _memory_cache.get(n)
@@ -335,20 +357,47 @@ def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
         if cache_dir is not None
         else None
     )
+    rewrite = False
     if bundle is None and paths is not None:
         bundle = _load_cached(paths)
+        rewrite = bundle is None
     if bundle is None:
         bundle = _compute_matrices(n)
     _memory_cache[n] = bundle
-    if paths is not None and not all(os.path.exists(p) for p in paths):
+    if paths is not None and (
+        rewrite or not all(os.path.exists(p) for p in paths)
+    ):
         os.makedirs(cache_dir, exist_ok=True)
         for name, path, mat in zip(MATRIX_FIELDS, paths, bundle):
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(mat.to_obj(name), fh, sort_keys=True)
+            _write_atomic(path, mat.to_obj(name))
     return bundle
 
 
 # -- integral form coefficients ----------------------------------------------
+
+
+def _dominance_interval(mu: Partition, lam: Partition) -> list[Partition]:
+    """Partitions rho with mu <= rho <= lam in dominance, descending lex."""
+    return [
+        rho
+        for rho in partitions_of(sum(lam))
+        if dominance_leq(mu, rho) and dominance_leq(rho, lam)
+    ]
+
+
+@cache
+def _k1_inverse_entry(nu: Partition, mu: Partition) -> QtRational:
+    """K1^-1(nu, mu) by forward substitution of K1 X = e_mu on [mu, nu]."""
+    if nu == mu:
+        return QtRational(1)
+    acc = QtRational(0)
+    for rho in _dominance_interval(mu, nu):
+        if rho == nu:
+            continue
+        weight = k1_entry(nu, rho)
+        if not weight.is_zero:
+            acc = acc + weight * _k1_inverse_entry(rho, mu)
+    return -acc
 
 
 def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
@@ -358,9 +407,13 @@ def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
 
 @cache
 def _k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
-    if sum(lam) != sum(mu):
+    # K2 = K K1^-1 and both factors are dominance-triangular, so only the
+    # interval [mu, lam] contributes, and k vanishes unless mu <= lam
+    if not dominance_leq(mu, lam):
         return QtPolynomial.zero()
-    k2 = build_matrices(sum(lam)).k2.entry(lam, mu)
+    k2 = QtRational(0)
+    for nu in _dominance_interval(mu, lam):
+        k2 = k2 + kostka_number(lam, nu) * _k1_inverse_entry(nu, mu)
     value = k2 * QtRational(expand_factors(c_prime_factors(mu)))
     return value.as_polynomial()
 

@@ -304,26 +304,31 @@ def gram_schmidt_P(n: int) -> dict[Partition, SymFuncInBasis]:
     return built
 
 
+def _gram_image(gram, u) -> list:
+    """w = gram . u, so that <u, v> = sum_b v[b] w[b] for any v."""
+    size = len(u)
+    return [
+        sum(
+            (u[a] * gram[a][b] for a in range(size) if u[a] != 0),
+            _FIELD(0),
+        )
+        for b in range(size)
+    ]
+
+
+def _pairing(v, w):
+    return sum((x * y for x, y in zip(v, w) if x != 0), _FIELD(0))
+
+
 def orthogonality_audit(n: int) -> bool:
     """Recompute every off-diagonal pairing from the built basis."""
     parts = partitions_of(n)
     gram = gram_matrix_monomials(n)
     built = gram_schmidt_P(n)
-    size = len(parts)
     for i, lam in enumerate(parts):
-        u = built[lam].coefficients
+        w = _gram_image(gram, built[lam].coefficients)
         for mu in parts[i + 1 :]:
-            v = built[mu].coefficients
-            pairing = sum(
-                (
-                    u[a] * v[b] * gram[a][b]
-                    for a in range(size)
-                    for b in range(size)
-                    if u[a] != 0 and v[b] != 0
-                ),
-                _FIELD(0),
-            )
-            if pairing != 0:
+            if _pairing(built[mu].coefficients, w) != 0:
                 return False
     return True
 
@@ -343,21 +348,11 @@ def b_norm_factor(lam: Partition):
 
 def check_pairing_normalization(n: int) -> bool:
     """<P_lam, Q_lam> = 1, i.e. b_lam <P_lam, P_lam> = 1."""
-    parts = partitions_of(n)
     gram = gram_matrix_monomials(n)
     built = gram_schmidt_P(n)
-    size = len(parts)
-    for lam in parts:
+    for lam in partitions_of(n):
         u = built[lam].coefficients
-        norm = sum(
-            (
-                u[a] * u[b] * gram[a][b]
-                for a in range(size)
-                for b in range(size)
-                if u[a] != 0 and u[b] != 0
-            ),
-            _FIELD(0),
-        )
+        norm = _pairing(u, _gram_image(gram, u))
         if b_norm_factor(lam) * norm != _FIELD(1):
             return False
     return True

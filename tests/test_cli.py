@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qtkostka
 from qtkostka.cli import dispatch
+from qtkostka.macdonald import build_matrices
 
 
 def run_cli(capsys, *argv):
@@ -171,3 +176,39 @@ def test_empty_partition_argument(capsys):
     code, out, _ = run_cli(capsys, "kcoeff", "--lambda", "", "--mu", "")
     assert code == 0
     assert json.loads(out)["k"] == [[0, 0, "1"]]
+
+
+# Run the CLI in a fresh interpreter and report whether sympy got loaded;
+# the in-process suite imports the oracle, so only a subprocess can tell.
+_SYMPY_PROBE = (
+    "import sys; from qtkostka.cli import dispatch; code = dispatch(sys.argv[1:]); "
+    "print('sympy' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads_sympy",
+    [
+        (["fstat", "--mu", "3,2,1"], False),
+        (["kcoeff", "--lambda", "4,2", "--mu", "2,2,1,1"], False),
+        (["haglund", "--lambda", "3,2,1", "--mu", "2,2,1,1", "--k", "2"], False),
+        (["reduce", "--lambda", "5,3,3", "--mu", "4,4,1,1,1"], False),
+        (["matrix", "--n", "3", "--which", "k2"], False),
+        (["--format", "pretty", "oracle-verify", "--max-n", "2"], True),
+    ],
+    ids=["fstat", "kcoeff", "haglund", "reduce", "matrix", "oracle-verify"],
+)
+def test_only_oracle_verify_loads_sympy(tmp_path, argv, loads_sympy):
+    build_matrices(3, cache_dir=str(tmp_path))  # the matrix call reads it
+    src = os.path.dirname(os.path.dirname(qtkostka.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SYMPY_PROBE, "--cache-dir", str(tmp_path), *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == str(loads_sympy)
+    if loads_sympy:
+        assert proc.stdout.splitlines()[-1] == "all degrees PASS"

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from qtkostka import macdonald
 from qtkostka.errors import DomainError
 from qtkostka.macdonald import (
     TriangularMatrix,
@@ -94,6 +97,14 @@ def test_unitriangularity_every_computed_degree():
             assert mat.is_unitriangular(), n
 
 
+def test_entry_rejects_partition_of_other_degree():
+    k1 = build_matrices(3).k1
+    with pytest.raises(DomainError):
+        k1.entry((2, 1), (2,))
+    with pytest.raises(DomainError):
+        k1.entry((4,), (3,))
+
+
 def test_inverse_roundtrip():
     for n in range(5):
         b = build_matrices(n)
@@ -107,6 +118,18 @@ def test_k_coeff_examples():
     kf = k_coeff((2, 1), (1, 1, 1)).at_q_zero().swap_qt().swap_qt()
     assert kf == T + T**2
     assert k_coeff((2,), (2, 1)).is_zero  # size mismatch
+
+
+def test_k_coeff_matches_bundle():
+    # the interval solve against the full K2 = K K1^-1 of the bundle,
+    # including pairs incomparable in dominance, where k is zero
+    for n in range(8):
+        k2 = build_matrices(n).k2
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                c_prime = QtRational(expand_factors(c_prime_factors(mu)))
+                expected = (k2.entry(lam, mu) * c_prime).as_polynomial()
+                assert k_coeff(lam, mu) == expected, (lam, mu)
 
 
 def test_k_coeff_accepts_lists():
@@ -239,3 +262,58 @@ def test_cache_version_invalidation(tmp_path):
     path.write_text(text)
     rebuilt = build_matrices(2, cache_dir=str(tmp_path))
     assert rebuilt.k1.is_unitriangular()
+
+
+def _fill_cache(tmp_path, monkeypatch, n=3):
+    """Write the degree-n cache, then forget the in-memory bundle so the
+    next build_matrices call reads the files."""
+    build_matrices(n, cache_dir=str(tmp_path))
+    texts = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    return texts
+
+
+def _bad_coefficient(obj):
+    obj["entries"][0][0]["num"][0][2] = "x1"
+    return obj
+
+
+@pytest.mark.parametrize(
+    "damage", [_bad_coefficient, lambda obj: [obj]], ids=["coefficient", "array"]
+)
+def test_cache_damaged_file_is_rejected_and_rewritten(
+    tmp_path, monkeypatch, damage
+):
+    texts = _fill_cache(tmp_path, monkeypatch)
+    path = tmp_path / "k2_n3.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    bundle = build_matrices(3, cache_dir=str(tmp_path))
+    assert bundle.k2 == build_matrices(3).k2
+    assert path.read_text() == texts["k2_n3.json"]
+
+
+def test_cache_truncated_file_is_repaired(tmp_path, monkeypatch):
+    texts = _fill_cache(tmp_path, monkeypatch)
+    path = tmp_path / "k1_n3.json"
+    path.write_text(texts["k1_n3.json"][: len(texts["k1_n3.json"]) // 2])
+    bundle = build_matrices(3, cache_dir=str(tmp_path))
+    assert bundle.k1.is_unitriangular()
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    # a write that fails part-way leaves the old file whole and no debris
+    texts = _fill_cache(tmp_path, monkeypatch)
+    (tmp_path / "k1_n3.json").unlink()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(macdonald.json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        build_matrices(3, cache_dir=str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for name in texts if name != "k1_n3.json"
+    )
+    assert (tmp_path / "k_n3.json").read_text() == texts["k_n3.json"]

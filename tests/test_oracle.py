@@ -1,5 +1,7 @@
+from qtkostka import oracle
 from qtkostka.macdonald import build_matrices
 from qtkostka.oracle import (
+    SymFuncInBasis,
     _FIELD,
     _q,
     _t,
@@ -105,3 +107,15 @@ def test_pairing_normalization():
 def test_qn_plethysm():
     for n in range(1, 5):
         assert check_Qn_plethysm(n)
+
+
+def test_audits_catch_a_perturbed_basis(monkeypatch):
+    real = gram_schmidt_P(3)
+    parts = partitions_of(3)
+    coeffs = list(real[(2, 1)].coefficients)
+    coeffs[parts.index((1, 1, 1))] += 1
+    perturbed = dict(real)
+    perturbed[(2, 1)] = SymFuncInBasis(3, "monomial", tuple(coeffs))
+    monkeypatch.setattr(oracle, "gram_schmidt_P", lambda n: perturbed)
+    assert not orthogonality_audit(3)
+    assert not check_pairing_normalization(3)
