@@ -1,7 +1,8 @@
 """Command-line entry point exposing all computations.
 
 Exit codes: 0 success, 1 domain error, 2 internal-consistency error,
-64 usage error.  JSON output is deterministic for fixed inputs.
+64 usage error (bad arguments, or a cache directory or output path that
+cannot be used).  JSON output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -264,6 +265,11 @@ def dispatch(argv: list[str]) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"internal consistency error: {exc}\n")
         return 2
+    except OSError as exc:
+        # an unusable --cache-dir or --out path is a usage error
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        sys.stderr.write(f"{parser.prog}: error: {where}{exc.strerror or exc}\n")
+        return 64
 
 
 def main() -> None:

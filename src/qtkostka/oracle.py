@@ -102,30 +102,26 @@ def powersum_in_monomials(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _invert_rational_matrix(
-    mat: tuple[tuple[int, ...], ...]
-) -> list[list[Fraction]]:
-    size = len(mat)
-    work = [[Fraction(x) for x in row] for row in mat]
-    inv = [
-        [Fraction(1 if i == j else 0) for j in range(size)]
-        for i in range(size)
-    ]
+def _solve_linear(matrix: list[list], rhs_columns: list[list]) -> list[list]:
+    """Gauss-Jordan elimination over any exact field (Fractions, ZZ(q,t)).
+
+    Returns one solution column x with ``matrix . x = b`` per column b of
+    ``rhs_columns``.
+    """
+    size = len(matrix)
+    work = [list(matrix[i]) + [b[i] for b in rhs_columns] for i in range(size)]
     for col in range(size):
         pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
         if pivot is None:
-            raise ConsistencyError("singular power-sum transition matrix")
+            raise ConsistencyError("singular linear system")
         work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        inv[col] = [x / scale for x in inv[col]]
+        inv_pivot = 1 / work[col][col]
+        work[col] = [x * inv_pivot for x in work[col]]
         for r in range(size):
-            if r != col and work[r][col]:
+            if r != col and work[r][col] != 0:
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    return inv
+    return [[row[j] for row in work] for j in range(size, len(work[0]))]
 
 
 def qt_gram_powersums(n: int) -> list[QtRational]:
@@ -152,7 +148,10 @@ def gram_matrix_monomials(n: int):
     size = len(parts)
     ring = _FIELD.ring
     rq, rt = ring.gens
-    cinv = _invert_rational_matrix(powersum_in_monomials(n))
+    transition = [[Fraction(x) for x in row] for row in powersum_in_monomials(n)]
+    identity = [[Fraction(int(i == j)) for i in range(size)] for j in range(size)]
+    # the columns of the inverse, transposed to rows
+    cinv = list(zip(*_solve_linear(transition, identity)))
     denominator_lcm = 1
     for row in cinv:
         for x in row:
@@ -240,22 +239,20 @@ class SymFuncInBasis:
         return _element_to_pair(self.coefficient(lam))
 
 
-def _solve_field_system(matrix: list[list], rhs: list) -> list:
-    """Gaussian elimination over the rational function field."""
-    size = len(rhs)
-    work = [list(matrix[i]) + [rhs[i]] for i in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ConsistencyError("singular Gram system")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_pivot = 1 / work[col][col]
-        work[col] = [x * inv_pivot for x in work[col]]
-        for r in range(size):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [work[i][size] for i in range(size)]
+def _gram_image(gram, u) -> list:
+    """w = gram . u, so that <u, v> = sum_b v[b] w[b] for any v."""
+    size = len(u)
+    return [
+        sum(
+            (u[a] * gram[a][b] for a in range(size) if u[a] != 0),
+            _FIELD(0),
+        )
+        for b in range(size)
+    ]
+
+
+def _pairing(v, w):
+    return sum((x * y for x, y in zip(v, w) if x != 0), _FIELD(0))
 
 
 @cache
@@ -281,43 +278,17 @@ def gram_schmidt_P(n: int) -> dict[Partition, SymFuncInBasis]:
         if below:
             matrix = [[g_rows[nu][pos[mu]] for mu in below] for nu in below]
             rhs = [-g_rows[nu][pos[lam]] for nu in below]
-            solution = _solve_field_system(matrix, rhs)
+            (solution,) = _solve_linear(matrix, [rhs])
             for mu, value in zip(below, solution):
                 vec[pos[mu]] = value
             for nu in below:
-                residual = sum(
-                    (vec[pos[g]] * g_rows[nu][pos[g]] for g in parts),
-                    _FIELD(0),
-                )
-                if residual != 0:
+                if _pairing(vec, g_rows[nu]) != 0:
                     raise ConsistencyError(
                         f"Gram-Schmidt verification failed at {lam} vs {nu}"
                     )
         built[lam] = SymFuncInBasis(n, "monomial", tuple(vec))
-        g_rows[lam] = [
-            sum(
-                (vec[d] * gram[gamma][d] for d in range(size) if vec[d] != 0),
-                _FIELD(0),
-            )
-            for gamma in range(size)
-        ]
+        g_rows[lam] = _gram_image(gram, vec)
     return built
-
-
-def _gram_image(gram, u) -> list:
-    """w = gram . u, so that <u, v> = sum_b v[b] w[b] for any v."""
-    size = len(u)
-    return [
-        sum(
-            (u[a] * gram[a][b] for a in range(size) if u[a] != 0),
-            _FIELD(0),
-        )
-        for b in range(size)
-    ]
-
-
-def _pairing(v, w):
-    return sum((x * y for x, y in zip(v, w) if x != 0), _FIELD(0))
 
 
 def orthogonality_audit(n: int) -> bool:

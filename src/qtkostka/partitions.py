@@ -26,14 +26,6 @@ def partition(parts: Iterable[int]) -> Partition:
     return tuple(p for p in seq if p > 0)
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose the Young diagram."""
     if not lam:

@@ -22,15 +22,29 @@ def _grading_key(exps: ExponentPair) -> tuple[int, int, int]:
     return (eq + et, eq, et)
 
 
+def _wrap(terms: dict[ExponentPair, int]) -> "QtPolynomial":
+    """A polynomial on ``terms`` as given; they must hold no zero coefficient.
+
+    Results that may hold cancelled terms go through the public
+    constructor instead, which drops them.
+    """
+    out = QtPolynomial.__new__(QtPolynomial)
+    out._terms = terms
+    return out
+
+
 class QtPolynomial:
     """Sparse Laurent polynomial in q, t with integer coefficients."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[ExponentPair, int] | None = None):
-        self._terms: dict[ExponentPair, int] = (
-            {e: c for e, c in terms.items() if c} if terms else {}
-        )
+        terms = dict(terms) if terms else {}
+        # results of +, * and the substitutions rarely cancel, so check
+        # before paying for a filtering pass
+        if not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
+        self._terms: dict[ExponentPair, int] = terms
 
     # -- constructors ------------------------------------------------------
 
@@ -79,21 +93,13 @@ class QtPolynomial:
             return NotImplemented
         result = dict(self._terms)
         for e, c in other._terms.items():
-            new = result.get(e, 0) + c
-            if new:
-                result[e] = new
-            else:
-                result.pop(e, None)
-        out = QtPolynomial.__new__(QtPolynomial)
-        out._terms = result
-        return out
+            result[e] = result.get(e, 0) + c
+        return QtPolynomial(result)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QtPolynomial":
-        out = QtPolynomial.__new__(QtPolynomial)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "QtPolynomial | int") -> "QtPolynomial":
         if isinstance(other, int):
@@ -107,23 +113,15 @@ class QtPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return QtPolynomial.zero()
-            out = QtPolynomial.__new__(QtPolynomial)
-            out._terms = {e: c * other for e, c in self._terms.items()}
-            return out
+            return _wrap({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, QtPolynomial):
             return NotImplemented
         result: dict[ExponentPair, int] = {}
         for (eq1, et1), c1 in self._terms.items():
             for (eq2, et2), c2 in other._terms.items():
                 e = (eq1 + eq2, et1 + et2)
-                new = result.get(e, 0) + c1 * c2
-                if new:
-                    result[e] = new
-                else:
-                    result.pop(e, None)
-        out = QtPolynomial.__new__(QtPolynomial)
-        out._terms = result
-        return out
+                result[e] = result.get(e, 0) + c1 * c2
+        return QtPolynomial(result)
 
     __rmul__ = __mul__
 
@@ -159,41 +157,25 @@ class QtPolynomial:
         result: dict[ExponentPair, int] = {}
         for (eq, et), c in self._terms.items():
             e = (0, k * eq + et)
-            new = result.get(e, 0) + c
-            if new:
-                result[e] = new
-            else:
-                result.pop(e, None)
-        out = QtPolynomial.__new__(QtPolynomial)
-        out._terms = result
-        return out
+            result[e] = result.get(e, 0) + c
+        return QtPolynomial(result)
 
     def swap_qt(self) -> "QtPolynomial":
-        out = QtPolynomial.__new__(QtPolynomial)
-        out._terms = {(et, eq): c for (eq, et), c in self._terms.items()}
-        return out
+        return _wrap({(et, eq): c for (eq, et), c in self._terms.items()})
 
     def at_t_one(self) -> "QtPolynomial":
         """Evaluate t = 1, collapsing onto the q-axis."""
         result: dict[ExponentPair, int] = {}
         for (eq, _), c in self._terms.items():
             e = (eq, 0)
-            new = result.get(e, 0) + c
-            if new:
-                result[e] = new
-            else:
-                result.pop(e, None)
-        out = QtPolynomial.__new__(QtPolynomial)
-        out._terms = result
-        return out
+            result[e] = result.get(e, 0) + c
+        return QtPolynomial(result)
 
     def at_q_zero(self) -> "QtPolynomial":
         """Evaluate q = 0; only legal on genuine polynomials in q."""
         if any(eq < 0 for eq, _ in self._terms):
             raise PoleError("q = 0 hits a negative q-exponent")
-        out = QtPolynomial.__new__(QtPolynomial)
-        out._terms = {e: c for e, c in self._terms.items() if e[0] == 0}
-        return out
+        return _wrap({e: c for e, c in self._terms.items() if e[0] == 0})
 
     # -- presentation ------------------------------------------------------
 
@@ -223,26 +205,22 @@ class QtPolynomial:
             else:
                 yield f"{c}{mul}{body}"
 
-    def __str__(self) -> str:
+    def _render(self, mul: str, pow_open: str, pow_close: str) -> str:
         if self.is_zero:
             return "0"
-        parts = list(self._term_strings("*", "^", ""))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        first, *rest = self._term_strings(mul, pow_open, pow_close)
+        return first + "".join(
+            f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in rest
+        )
+
+    def __str__(self) -> str:
+        return self._render("*", "^", "")
 
     def __repr__(self) -> str:
         return f"QtPolynomial({self})"
 
     def latex(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = list(self._term_strings("", "^{", "}"))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return self._render("", "^{", "}")
 
 
 ONE = QtPolynomial.one()
@@ -299,9 +277,7 @@ def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
             if running:
                 for j in range(m, m_next):
                     quotient[(bq + j * a, bt + j * b)] = running
-    out = QtPolynomial.__new__(QtPolynomial)
-    out._terms = quotient
-    return out
+    return _wrap(quotient)
 
 
 def times_t_number(p: QtPolynomial, j: int) -> QtPolynomial:
@@ -410,11 +386,17 @@ class QtRational:
         self._den = tuple(remaining)
 
     @classmethod
-    def from_polynomial(cls, p: QtPolynomial) -> "QtRational":
+    def _raw(cls, num: QtPolynomial, den: tuple[BinomialFactor, ...]) -> "QtRational":
+        # skips __init__: the parts are already normalised, and perfbench
+        # counts __init__ calls as qt.rational.new
         out = cls.__new__(cls)
-        out._num = p
-        out._den = ()
+        out._num = num
+        out._den = den
         return out
+
+    @classmethod
+    def from_polynomial(cls, p: QtPolynomial) -> "QtRational":
+        return cls._raw(p, ())
 
     @property
     def num(self) -> QtPolynomial:
@@ -462,10 +444,7 @@ class QtRational:
     __radd__ = __add__
 
     def __neg__(self) -> "QtRational":
-        out = QtRational.__new__(QtRational)
-        out._num = -self._num
-        out._den = self._den
-        return out
+        return QtRational._raw(-self._num, self._den)
 
     def __sub__(self, other) -> "QtRational":
         other = _coerce(other)
@@ -528,10 +507,9 @@ class QtRational:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "QtRational":
-        out = cls.__new__(cls)
-        out._num = QtPolynomial.from_obj(obj["num"])
-        out._den = _normalize_factors(obj.get("den", ()))
-        return out
+        return cls._raw(
+            QtPolynomial.from_obj(obj["num"]), _normalize_factors(obj.get("den", ()))
+        )
 
     def _den_str(self, fmt: str) -> str:
         pieces = []

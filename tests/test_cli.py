@@ -55,24 +55,30 @@ def test_matrix_json(capsys, tmp_path):
     assert (tmp_path / "k2_n2.json").exists()
 
 
-# SHA-256 of `matrix --n 5 --which W` stdout.  The num/den form of an entry
-# is not canonical, so this pins the arithmetic path, not just the values.
-MATRIX_N5_SHA256 = {
-    "k": "469513909c84afd8e681eb69d2f623c37df3c4cf97f14f28a6553cf571fdee27",
-    "k1": "4eafe79129d99ca7c4ec8e3c623ab6cf1e553ac60570319310cea855b5443966",
-    "k1inv": "637ed1a0e4df73ea9bec3280dbaf088a2e2dc094a16a9c990fa3f3bb9b0f4017",
-    "k2": "d422404e10937077cb03d24326079a34244c23e3dbc39c9cf1554b62b62c7641",
-    "k2inv": "a49bea9f659620061356011f1a9f52c434a1043d9a19401de981894da555ea17",
+# SHA-256 of `matrix --n N --which W` stdout.  The num/den form of an entry
+# is not canonical, so this pins the arithmetic path, not just the values;
+# n = 6 is where the greedy-cancellation forms differ most between paths.
+MATRIX_SHA256 = {
+    (5, "k"): "469513909c84afd8e681eb69d2f623c37df3c4cf97f14f28a6553cf571fdee27",
+    (5, "k1"): "4eafe79129d99ca7c4ec8e3c623ab6cf1e553ac60570319310cea855b5443966",
+    (5, "k1inv"): "637ed1a0e4df73ea9bec3280dbaf088a2e2dc094a16a9c990fa3f3bb9b0f4017",
+    (5, "k2"): "d422404e10937077cb03d24326079a34244c23e3dbc39c9cf1554b62b62c7641",
+    (5, "k2inv"): "a49bea9f659620061356011f1a9f52c434a1043d9a19401de981894da555ea17",
+    (6, "k"): "f9ec7a27de801d4a38f92dddb5eeff220fdc2c56c927b8a0d7853c4c7e6b4d03",
+    (6, "k1"): "023f9bd639470339e2fc2564546f49885b3ba4789ca14d7769bcf17608845ee7",
+    (6, "k1inv"): "9906355f2ac9d54f68c6a722244aeaa257e381e6c25375d453fbc779ac7bef97",
+    (6, "k2"): "3e7242153ab9fab7760f5edddfee339bd757475d87cefaf39aba79bddb8d6386",
+    (6, "k2inv"): "9251102c109029732171752f8f7f1d8f4e5d9cefb357bd85e40e7c2dd9c71c80",
 }
 
 
-@pytest.mark.parametrize("which", sorted(MATRIX_N5_SHA256))
-def test_matrix_n5_golden(capsys, tmp_path, which):
+@pytest.mark.parametrize("n, which", sorted(MATRIX_SHA256))
+def test_matrix_golden(capsys, tmp_path, n, which):
     code, out, _ = run_cli(
-        capsys, "--cache-dir", str(tmp_path), "matrix", "--n", "5", "--which", which
+        capsys, "--cache-dir", str(tmp_path), "matrix", "--n", str(n), "--which", which
     )
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_N5_SHA256[which]
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_SHA256[n, which]
 
 
 def test_matrix_latex(capsys, tmp_path):
@@ -170,6 +176,22 @@ def test_bad_partition_argument(capsys):
         dispatch(["kcoeff", "--lambda", "1,2", "--mu", "1,1,1"])
     assert info.value.code == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", ["cache_dir_is_a_file", "out_dir_missing"])
+def test_unusable_path_is_a_usage_error(capsys, tmp_path, case):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    if case == "cache_dir_is_a_file":
+        path = str(plain)
+        argv = ["--cache-dir", path, "matrix", "--n", "2", "--which", "k"]
+    else:
+        path = str(tmp_path / "missing" / "report.json")
+        argv = ["scan", "--max-n", "2", "--max-k", "1", "--out", path]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert err.startswith(f"qtkostka: error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_empty_partition_argument(capsys):

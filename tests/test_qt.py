@@ -227,6 +227,53 @@ def test_times_t_number_edges():
         times_t_number(ONE, -1)
 
 
+@given(
+    qt_polynomials(),
+    qt_polynomials(),
+    st.integers(-3, 3),
+    st.integers(0, 3),
+    binomial_exponents,
+)
+@settings(max_examples=200, deadline=None)
+def test_results_store_no_zero_coefficient(a, b, n, k, ab):
+    # results that may cancel go through the zero-dropping constructor,
+    # the rest are wrapped as they stand; both must stay zero-free, since
+    # equality and hashing compare the stored dicts
+    quotient = exact_div_binomial(a * binomial_poly(*ab), *ab)
+    results = [
+        a + b,
+        a - b,
+        a - a,
+        a * b,
+        a * n,
+        n * a,
+        -a,
+        a.substitute_q_power(k),
+        a.at_t_one(),
+        a.swap_qt(),
+        (a * Q**2).at_q_zero(),
+        quotient,
+    ]
+    for r in results:
+        assert 0 not in r._terms.values()
+    equal_pairs = [
+        (a + b, b + a),
+        (a - b, -(b - a)),
+        (a - a, QtPolynomial.zero()),
+        (a * b, b * a),
+        (a * n, QtPolynomial({e: c * n for e, c in a.terms()})),
+        (a.swap_qt().swap_qt(), a),
+        ((a * b).at_t_one(), a.at_t_one() * b.at_t_one()),
+        (
+            (a * b).substitute_q_power(k),
+            a.substitute_q_power(k) * b.substitute_q_power(k),
+        ),
+        (quotient, a),
+    ]
+    for x, y in equal_pairs:
+        assert x == y and hash(x) == hash(y)
+
+
 def _lift_to_sympy_field(r):
     from qtkostka.oracle import _FIELD, _q, _t
 
