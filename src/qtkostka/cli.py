@@ -8,6 +8,7 @@ cannot be used).  JSON output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -143,15 +144,33 @@ def _cmd_haglund(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = scan(args.max_n, args.max_k, jobs=args.jobs)
-    obj = report.to_obj()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if not args.out:
+        report = scan(args.max_n, args.max_k, jobs=args.jobs)
+        _emit_json(report.to_obj())
+        return 0 if not report.violations else 2
+    # open the temp file before scanning, so an unusable --out fails at
+    # once; moving it into place keeps a failed scan from replacing an
+    # existing report
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(
+            errno.EISDIR, os.strerror(errno.EISDIR), args.out
+        )
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, args.out) from exc
+    try:
+        with fh:
+            report = scan(args.max_n, args.max_k, jobs=args.jobs)
+            obj = report.to_obj()
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _emit_json({"out": args.out, "summary": obj["summary"]})
-    else:
-        _emit_json(obj)
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    _emit_json({"out": args.out, "summary": obj["summary"]})
     return 0 if not report.violations else 2
 
 

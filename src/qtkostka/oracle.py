@@ -7,14 +7,20 @@ routes share no arithmetic stack; results cross into the package's own
 representation only as (numerator, denominator) polynomial pairs,
 compared downstream by integer cross-multiplication.  Every solved
 system is verified by substitution before being accepted.
+
+Sums of pairings never run in the field, where every ``+`` and ``*``
+cancels through a gcd: the Gram matrix is kept as ZZ[q,t] numerators
+over one shared denominator, each vector is brought to one denominator,
+and images and pairings add in the polynomial ring.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from sympy import ZZ
 from sympy.polys.fields import field
@@ -33,6 +39,7 @@ from .partitions import (
 from .qt import QtPolynomial, QtRational, binomial_poly
 
 _FIELD, _q, _t = field("q,t", ZZ)
+_RING = _FIELD.ring
 
 FractionPair = tuple[QtPolynomial, QtPolynomial]
 
@@ -46,7 +53,23 @@ def _gcd_zz_with_fallback(f, g):
         return f.ring.dmp_inner_gcd(f, g)
 
 
-PolyElement._gcd_ZZ = _gcd_zz_with_fallback
+@contextmanager
+def _gcd_fallback():
+    """Route sympy's ZZ gcd through the fallback for the enclosed calls.
+
+    Re-entrant: a nested entry leaves the patch to the outermost one,
+    which restores sympy's own method on exit.  Used as a decorator on
+    the public entry points, so importing this module patches nothing.
+    """
+    original = PolyElement._gcd_ZZ
+    if original is _gcd_zz_with_fallback:
+        yield
+        return
+    PolyElement._gcd_ZZ = _gcd_zz_with_fallback
+    try:
+        yield
+    finally:
+        PolyElement._gcd_ZZ = original
 
 
 def zee(lam: Partition) -> int:
@@ -138,15 +161,16 @@ def qt_gram_powersums(n: int) -> list[QtRational]:
 
 @cache
 def gram_matrix_monomials(n: int):
-    """Pairings <m_a, m_b>_{q,t} over the degree-n partition index.
+    """Pairings <m_a, m_b>_{q,t} over the degree-n partition index, as
+    ``(rows, denominator)``: <m_a, m_b> = rows[a][b] / denominator.
 
-    Built in the polynomial ring over one shared denominator (an
-    integer multiple of prod_k (1-t^k)^(n//k)) so the accumulation
-    never triggers a gcd; each entry costs one final cancellation.
+    The shared denominator is an integer multiple of
+    prod_k (1-t^k)^(n//k); every numerator is built in the polynomial
+    ring, so no entry needs a gcd.
     """
     parts = partitions_of(n)
     size = len(parts)
-    ring = _FIELD.ring
+    ring = _RING
     rq, rt = ring.gens
     transition = [[Fraction(x) for x in row] for row in powersum_in_monomials(n)]
     identity = [[Fraction(int(i == j)) for i in range(size)] for j in range(size)]
@@ -170,7 +194,7 @@ def gram_matrix_monomials(n: int):
         for k in range(1, n + 1):
             term = term * (ring.one - rt**k) ** mult[k]
         lam_terms.append(term)
-    rows = [[_FIELD(0)] * size for _ in range(size)]
+    rows = [[ring.zero] * size for _ in range(size)]
     for a in range(size):
         for b in range(a, size):
             acc = ring.zero
@@ -180,27 +204,9 @@ def gram_matrix_monomials(n: int):
                     if r.denominator != 1:
                         raise ConsistencyError("gram scaling not integral")
                     acc = acc + lam_terms[k] * int(r)
-            # cancel the known denominator factors by exact ring division
-            # rather than asking the CAS gcd (whose heuristic can give up)
-            den = ring.one * scale
-            for k in range(1, n + 1):
-                factor = ring.one - rt**k
-                for _ in range(n // k):
-                    quotient, remainder = divmod(acc, factor)
-                    if remainder:
-                        den = den * factor
-                    else:
-                        acc = quotient
-            content = int(acc.content())
-            if content:
-                shared = gcd(content, scale)
-                if shared > 1:
-                    acc = acc.quo_ground(shared)
-                    den = den.quo_ground(shared)
-            value = _FIELD.raw_new(acc, den)
-            rows[a][b] = value
-            rows[b][a] = value
-    return tuple(tuple(row) for row in rows)
+            rows[a][b] = acc
+            rows[b][a] = acc
+    return tuple(tuple(row) for row in rows), common
 
 
 def _element_to_pair(element) -> FractionPair:
@@ -239,23 +245,32 @@ class SymFuncInBasis:
         return _element_to_pair(self.coefficient(lam))
 
 
-def _gram_image(gram, u) -> list:
-    """w = gram . u, so that <u, v> = sum_b v[b] w[b] for any v."""
-    size = len(u)
+def _over_common_denominator(u) -> tuple[list, object]:
+    """Field entries u_a = U_a / L over one ring denominator L, the lcm
+    of the entries' denominators: returns ([U_a], L)."""
+    den = _RING.one
+    for x in u:
+        if x:
+            den = den.lcm(x.denom)
+    return [x.numer * den.exquo(x.denom) for x in u], den
+
+
+def _gram_image(gram_rows, u_num) -> list:
+    """w = G . U in the ring; for a Gram matrix G / D and a vector
+    U / L, <u, v> = sum_b v[b] w[b] / (L D) for any v."""
+    nonzero = [a for a, x in enumerate(u_num) if x]
     return [
-        sum(
-            (u[a] * gram[a][b] for a in range(size) if u[a] != 0),
-            _FIELD(0),
-        )
-        for b in range(size)
+        sum((u_num[a] * gram_rows[a][b] for a in nonzero), _RING.zero)
+        for b in range(len(u_num))
     ]
 
 
-def _pairing(v, w):
-    return sum((x * y for x, y in zip(v, w) if x != 0), _FIELD(0))
+def _pairing(v_num, w):
+    return sum((x * y for x, y in zip(v_num, w) if x), _RING.zero)
 
 
 @cache
+@_gcd_fallback()
 def gram_schmidt_P(n: int) -> dict[Partition, SymFuncInBasis]:
     """Monomial expansions of all P_lambda at degree n.
 
@@ -267,9 +282,11 @@ def gram_schmidt_P(n: int) -> dict[Partition, SymFuncInBasis]:
     parts = partitions_of(n)
     size = len(parts)
     pos = {p: i for i, p in enumerate(parts)}
-    gram = gram_matrix_monomials(n)
+    gram, gram_den = gram_matrix_monomials(n)
     built: dict[Partition, SymFuncInBasis] = {}
-    # g_rows[nu][gamma] = <m_gamma, P_nu>
+    # images[nu] = the numerators of <m_gamma, P_nu> over gamma, and
+    # g_rows[nu] the same pairings as field entries for the solve
+    images: dict[Partition, list] = {}
     g_rows: dict[Partition, list] = {}
     for lam in reversed(parts):
         below = [mu for mu in parts if mu != lam and dominance_leq(mu, lam)]
@@ -281,29 +298,38 @@ def gram_schmidt_P(n: int) -> dict[Partition, SymFuncInBasis]:
             (solution,) = _solve_linear(matrix, [rhs])
             for mu, value in zip(below, solution):
                 vec[pos[mu]] = value
-            for nu in below:
-                if _pairing(vec, g_rows[nu]) != 0:
-                    raise ConsistencyError(
-                        f"Gram-Schmidt verification failed at {lam} vs {nu}"
-                    )
+        vec_num, vec_den = _over_common_denominator(vec)
+        for nu in below:
+            if _pairing(vec_num, images[nu]):
+                raise ConsistencyError(
+                    f"Gram-Schmidt verification failed at {lam} vs {nu}"
+                )
         built[lam] = SymFuncInBasis(n, "monomial", tuple(vec))
-        g_rows[lam] = _gram_image(gram, vec)
+        if lam == parts[0]:
+            break  # P_(n) is built last: no later system reads its image
+        images[lam] = _gram_image(gram, vec_num)
+        image_den = vec_den * gram_den
+        g_rows[lam] = [_FIELD.new(w, image_den) for w in images[lam]]
     return built
 
 
+@_gcd_fallback()
 def orthogonality_audit(n: int) -> bool:
     """Recompute every off-diagonal pairing from the built basis."""
     parts = partitions_of(n)
-    gram = gram_matrix_monomials(n)
+    gram, _ = gram_matrix_monomials(n)
     built = gram_schmidt_P(n)
-    for i, lam in enumerate(parts):
-        w = _gram_image(gram, built[lam].coefficients)
-        for mu in parts[i + 1 :]:
-            if _pairing(built[mu].coefficients, w) != 0:
-                return False
+    numerators = [
+        _over_common_denominator(built[lam].coefficients)[0] for lam in parts
+    ]
+    for i, u_num in enumerate(numerators):
+        w = _gram_image(gram, u_num)
+        if any(_pairing(v_num, w) for v_num in numerators[i + 1 :]):
+            return False
     return True
 
 
+@_gcd_fallback()
 def b_norm_factor(lam: Partition):
     """b_lambda = c_lambda / c'_lambda read off the diagram."""
     value = _FIELD(1)
@@ -317,18 +343,22 @@ def b_norm_factor(lam: Partition):
     return value
 
 
+@_gcd_fallback()
 def check_pairing_normalization(n: int) -> bool:
     """<P_lam, Q_lam> = 1, i.e. b_lam <P_lam, P_lam> = 1."""
-    gram = gram_matrix_monomials(n)
+    gram, gram_den = gram_matrix_monomials(n)
     built = gram_schmidt_P(n)
     for lam in partitions_of(n):
-        u = built[lam].coefficients
-        norm = _pairing(u, _gram_image(gram, u))
-        if b_norm_factor(lam) * norm != _FIELD(1):
+        u_num, u_den = _over_common_denominator(built[lam].coefficients)
+        # <P_lam, P_lam> = norm / (u_den^2 gram_den)
+        norm = _pairing(u_num, _gram_image(gram, u_num))
+        b = b_norm_factor(lam)
+        if b.numer * norm != b.denom * u_den**2 * gram_den:
             return False
     return True
 
 
+@_gcd_fallback()
 def check_Qn_plethysm(n: int) -> bool:
     """Does h_n[X (1-t)/(1-q)] equal b_(n) P_(n) in the monomial basis?"""
     parts = partitions_of(n)

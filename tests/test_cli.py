@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import qtkostka
+from qtkostka import cli
 from qtkostka.cli import dispatch
+from qtkostka.errors import ConsistencyError
 from qtkostka.macdonald import build_matrices
 
 
@@ -192,6 +194,39 @@ def test_unusable_path_is_a_usage_error(capsys, tmp_path, case):
     assert code == 64
     assert err.startswith(f"qtkostka: error: {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["dir_missing", "out_is_a_dir"])
+def test_unusable_scan_out_fails_before_scanning(
+    capsys, tmp_path, monkeypatch, case
+):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran before --out was checked")
+
+    monkeypatch.setattr(cli, "scan", no_scan)
+    target = tmp_path / "missing" / "r.json" if case == "dir_missing" else tmp_path
+    path = str(target)
+    code, out, err = run_cli(
+        capsys, "scan", "--max-n", "8", "--max-k", "4", "--out", path
+    )
+    assert code == 64 and out == ""
+    assert err.startswith(f"qtkostka: error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_failed_scan_keeps_existing_report(capsys, tmp_path, monkeypatch):
+    def failing_scan(*args, **kwargs):
+        raise ConsistencyError("scan failed part-way")
+
+    report = tmp_path / "report.json"
+    report.write_text('{"old": true}\n')
+    monkeypatch.setattr(cli, "scan", failing_scan)
+    code, _, err = run_cli(
+        capsys, "scan", "--max-n", "2", "--max-k", "1", "--out", str(report)
+    )
+    assert code == 2 and "scan failed part-way" in err
+    assert report.read_text() == '{"old": true}\n'
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_empty_partition_argument(capsys):

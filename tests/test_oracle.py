@@ -1,3 +1,5 @@
+from sympy.polys.rings import PolyElement
+
 from qtkostka import oracle
 from qtkostka.macdonald import build_matrices
 from qtkostka.oracle import (
@@ -68,7 +70,7 @@ def test_qt_gram_powersums():
 
 def test_gram_matrix_symmetry():
     for n in (2, 3):
-        gram = gram_matrix_monomials(n)
+        gram, _ = gram_matrix_monomials(n)
         size = len(partitions_of(n))
         for i in range(size):
             for j in range(size):
@@ -110,12 +112,73 @@ def test_qn_plethysm():
 
 
 def test_audits_catch_a_perturbed_basis(monkeypatch):
-    real = gram_schmidt_P(3)
-    parts = partitions_of(3)
-    coeffs = list(real[(2, 1)].coefficients)
-    coeffs[parts.index((1, 1, 1))] += 1
-    perturbed = dict(real)
-    perturbed[(2, 1)] = SymFuncInBasis(3, "monomial", tuple(coeffs))
-    monkeypatch.setattr(oracle, "gram_schmidt_P", lambda n: perturbed)
-    assert not orthogonality_audit(3)
-    assert not check_pairing_normalization(3)
+    # (degree, P_lambda, coefficient changed by adding 1); at n = 4 the
+    # coefficient of m_(2,1,1) in P_(3,1) has a non-trivial denominator
+    for n, lam, mu in ((3, (2, 1), (1, 1, 1)), (4, (3, 1), (2, 1, 1))):
+        real = gram_schmidt_P(n)
+        coeffs = list(real[lam].coefficients)
+        index = partitions_of(n).index(mu)
+        if n == 4:
+            assert coeffs[index].denom != 1
+        coeffs[index] += 1
+        perturbed = dict(real)
+        perturbed[lam] = SymFuncInBasis(n, "monomial", tuple(coeffs))
+        monkeypatch.setattr(oracle, "gram_schmidt_P", lambda _n: perturbed)
+        assert not orthogonality_audit(n)
+        assert not check_pairing_normalization(n)
+        monkeypatch.undo()
+
+
+def _field_image(gram, u):
+    # the term-by-term sum in ZZ(q,t) that the ring image replaces
+    size = len(u)
+    return [
+        sum((u[a] * gram[a][b] for a in range(size) if u[a] != 0), _FIELD(0))
+        for b in range(size)
+    ]
+
+
+def _field_pairing(v, w):
+    return sum((x * y for x, y in zip(v, w) if x != 0), _FIELD(0))
+
+
+def test_ring_image_matches_field_sum():
+    for n in range(1, 5):
+        rows, gram_den = gram_matrix_monomials(n)
+        gram = [[_FIELD.new(x, gram_den) for x in row] for row in rows]
+        built = gram_schmidt_P(n)
+        vectors = [built[lam].coefficients for lam in partitions_of(n)]
+        for u in vectors:
+            u_num, u_den = oracle._over_common_denominator(u)
+            assert [_FIELD.new(x, u_den) for x in u_num] == list(u)
+            image = oracle._gram_image(rows, u_num)
+            field_image = _field_image(gram, u)
+            image_den = u_den * gram_den
+            assert [_FIELD.new(x, image_den) for x in image] == field_image
+            for v in vectors:
+                v_num, v_den = oracle._over_common_denominator(v)
+                pairing = oracle._pairing(v_num, image)
+                assert _FIELD.new(pairing, v_den * image_den) == (
+                    _field_pairing(v, field_image)
+                )
+
+
+def test_gcd_fallback_is_scoped_to_oracle_calls(monkeypatch):
+    def sympy_own():
+        return PolyElement._gcd_ZZ.__module__ == "sympy.polys.rings"
+
+    assert sympy_own()
+    seen = []
+    real = gram_schmidt_P
+
+    def spy(n):
+        seen.append(PolyElement._gcd_ZZ is oracle._gcd_zz_with_fallback)
+        # a nested entry point must leave the outer call's patch in place
+        assert oracle.b_norm_factor((2, 1)) != 0
+        seen.append(PolyElement._gcd_ZZ is oracle._gcd_zz_with_fallback)
+        return real(n)
+
+    monkeypatch.setattr(oracle, "gram_schmidt_P", spy)
+    assert orthogonality_audit(3)
+    assert seen == [True, True]
+    assert sympy_own()
