@@ -8,16 +8,18 @@ cannot be used).  JSON output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
 import sys
 
 from .errors import ConsistencyError, DomainError
 from .haglund import check_pair, scan
-from .macdonald import MATRIX_FIELDS, build_matrices, k_coeff
+from .macdonald import MATRIX_FIELDS, atomic_writer, build_matrices, k_coeff
 from .partitions import Partition, partition, partitions_of
 from .reductions import classify_bz, decompose_irreducible, f_stat, f_stat_closed
+
+_ALL_FORMATS = ("json", "latex", "pretty")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
@@ -109,7 +111,7 @@ def _cmd_reduce(args) -> int:
     tags = {
         (leaf.lam, leaf.mu): classify_bz(leaf.lam, leaf.mu) for leaf in leaves
     }
-    if args.format in ("pretty", "latex"):
+    if args.format == "pretty":
         sys.stdout.write(tree.ascii_art() + "\n")
         for (lam, mu), cls in tags.items():
             sys.stdout.write(f"leaf {list(lam)} / {list(mu)}: {cls.tag}\n")
@@ -148,28 +150,13 @@ def _cmd_scan(args) -> int:
         report = scan(args.max_n, args.max_k, jobs=args.jobs)
         _emit_json(report.to_obj())
         return 0 if not report.violations else 2
-    # open the temp file before scanning, so an unusable --out fails at
-    # once; moving it into place keeps a failed scan from replacing an
-    # existing report
-    if os.path.isdir(args.out):
-        raise IsADirectoryError(
-            errno.EISDIR, os.strerror(errno.EISDIR), args.out
-        )
-    tmp = f"{args.out}.{os.getpid()}.tmp"
-    try:
-        fh = open(tmp, "w", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, args.out) from exc
-    try:
-        with fh:
-            report = scan(args.max_n, args.max_k, jobs=args.jobs)
-            obj = report.to_obj()
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, args.out)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    # opening --out first makes an unusable path fail before the scan,
+    # and a failed scan leaves an existing report in place
+    with atomic_writer(args.out) as fh:
+        report = scan(args.max_n, args.max_k, jobs=args.jobs)
+        obj = report.to_obj()
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     _emit_json({"out": args.out, "summary": obj["summary"]})
     return 0 if not report.violations else 2
 
@@ -211,8 +198,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     kw = {} if top else {"default": argparse.SUPPRESS}
     parser.add_argument(
         "--format",
-        choices=("json", "latex", "pretty"),
-        help="output format (default json)",
+        choices=_ALL_FORMATS,
+        help="output format (default json); not every command renders all",
         **({"default": "json"} if top else kw),
     )
     parser.add_argument(
@@ -236,37 +223,37 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("kcoeff", help="integral-form coefficient k(lambda, mu)")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--mu", type=_partition_arg, required=True)
-    p.set_defaults(fn=_cmd_kcoeff)
+    p.set_defaults(fn=_cmd_kcoeff, formats=_ALL_FORMATS)
 
     p = sub.add_parser("matrix", help="emit a transition matrix for degree n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--which", choices=tuple(MATRIX_FIELDS), required=True)
-    p.set_defaults(fn=_cmd_matrix)
+    p.set_defaults(fn=_cmd_matrix, formats=_ALL_FORMATS)
 
     p = sub.add_parser("reduce", help="decomposition tree of a pair")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--mu", type=_partition_arg, required=True)
-    p.set_defaults(fn=_cmd_reduce)
+    p.set_defaults(fn=_cmd_reduce, formats=("json", "pretty"))
 
     p = sub.add_parser("haglund", help="dual Haglund verdict for one pair")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--mu", type=_partition_arg, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_haglund)
+    p.set_defaults(fn=_cmd_haglund, formats=("json", "pretty"))
 
     p = sub.add_parser("scan", help="batch positivity scan")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--out", default=None, help="write the report to a file")
-    p.set_defaults(fn=_cmd_scan)
+    p.set_defaults(fn=_cmd_scan, formats=("json",))
 
     p = sub.add_parser("oracle-verify", help="Gram-Schmidt oracle cross-check")
     p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(fn=_cmd_oracle_verify)
+    p.set_defaults(fn=_cmd_oracle_verify, formats=("json", "pretty"))
 
     p = sub.add_parser("fstat", help="the arm/leg generating statistic f_mu")
     p.add_argument("--mu", type=_partition_arg, required=True)
-    p.set_defaults(fn=_cmd_fstat)
+    p.set_defaults(fn=_cmd_fstat, formats=_ALL_FORMATS)
 
     for action in sub.choices.values():
         _add_common_flags(action, top=False)
@@ -276,6 +263,11 @@ def _build_parser() -> _Parser:
 def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.format not in args.formats:
+        parser.error(
+            f"{args.command} renders --format {' or '.join(args.formats)}, "
+            f"not {args.format}"
+        )
     try:
         return args.fn(args)
     except DomainError as exc:

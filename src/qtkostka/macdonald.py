@@ -8,10 +8,12 @@ partitions of that degree, which makes unitriangularity literal.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+from contextlib import ExitStack, contextmanager
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .errors import ConsistencyError, DomainError
 from .partitions import (
@@ -31,11 +33,7 @@ from .qt import (
     binomial_poly,
     expand_factors,
 )
-from .tableaux import (
-    horizontal_strip_extensions,
-    is_horizontal_strip,
-    kostka_number,
-)
+from .tableaux import is_horizontal_strip, kostka_number, strip_chain_sums
 
 CACHE_FORMAT_VERSION = 1
 
@@ -118,23 +116,8 @@ def _psi_cached(lam: Partition, mu: Partition) -> QtRational:
 
 @cache
 def _k1_column(mu: Partition) -> dict[Partition, QtRational]:
-    """psi-sums over all chains with content mu, for every final shape.
-
-    Layered DP over intermediate shapes; chains sharing a prefix share
-    all the work, which is where the per-strip memoization pays off.
-    """
-    layer: dict[Partition, QtRational] = {(): QtRational(ONE)}
-    for step in mu:
-        nxt: dict[Partition, QtRational] = {}
-        for shape, weight in layer.items():
-            for bigger in horizontal_strip_extensions(shape, step):
-                term = weight * _psi_cached(bigger, shape)
-                if bigger in nxt:
-                    nxt[bigger] = nxt[bigger] + term
-                else:
-                    nxt[bigger] = term
-        layer = nxt
-    return layer
+    """psi-sums over all chains with content mu, for every final shape."""
+    return strip_chain_sums(mu, _psi_cached, QtRational(ONE))
 
 
 def k1_entry(lam: Partition, mu: Partition) -> QtRational:
@@ -332,13 +315,28 @@ def _load_cached(paths: list[str]) -> MatrixBundle | None:
         return None  # stale, foreign or damaged cache: rebuild
 
 
-def _write_atomic(path: str, obj: dict) -> None:
-    # readers see the old file or the whole new one, never a partial write
+@contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """A text file at ``path`` that readers see old or whole, never partial.
+
+    The temp file beside ``path`` is opened before the caller's work, so
+    an unusable path fails at once; it is moved into place only if the
+    block completes.  An OSError from opening or moving names ``path``.
+    """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True)
-        os.replace(tmp, path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with fh:
+            yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -347,29 +345,26 @@ def _write_atomic(path: str, obj: dict) -> None:
 def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
     """K, K1, K1^-1, K2, K2^-1 at degree n, optionally cached on disk.
 
-    A cache that is missing, stale or damaged is rewritten in full.
+    A cache that is missing, stale or damaged is rewritten in full.  The
+    cache directory and files are opened before any matrix is computed.
     """
     if n < 0:
         raise DomainError(f"negative degree {n}")
     bundle = _memory_cache.get(n)
-    paths = (
-        [_cache_path(cache_dir, name, n) for name in MATRIX_FIELDS]
-        if cache_dir is not None
-        else None
-    )
-    rewrite = False
-    if bundle is None and paths is not None:
-        bundle = _load_cached(paths)
-        rewrite = bundle is None
-    if bundle is None:
-        bundle = _compute_matrices(n)
-    _memory_cache[n] = bundle
-    if paths is not None and (
-        rewrite or not all(os.path.exists(p) for p in paths)
-    ):
-        os.makedirs(cache_dir, exist_ok=True)
-        for name, path, mat in zip(MATRIX_FIELDS, paths, bundle):
-            _write_atomic(path, mat.to_obj(name))
+    with ExitStack() as stack:
+        files = []
+        if cache_dir is not None:
+            os.makedirs(cache_dir, exist_ok=True)
+            paths = [_cache_path(cache_dir, name, n) for name in MATRIX_FIELDS]
+            if bundle is None:
+                bundle = _load_cached(paths)
+            if bundle is None or not all(os.path.exists(p) for p in paths):
+                files = [stack.enter_context(atomic_writer(p)) for p in paths]
+        if bundle is None:
+            bundle = _compute_matrices(n)
+        _memory_cache[n] = bundle
+        for name, fh, mat in zip(MATRIX_FIELDS, files, bundle):
+            json.dump(mat.to_obj(name), fh, sort_keys=True)
     return bundle
 
 

@@ -36,7 +36,7 @@ from .partitions import (
     dominance_leq,
     partitions_of,
 )
-from .qt import QtPolynomial, QtRational, binomial_poly
+from .qt import QtPolynomial, QtRational
 
 _FIELD, _q, _t = field("q,t", ZZ)
 _RING = _FIELD.ring
@@ -145,18 +145,6 @@ def _solve_linear(matrix: list[list], rhs_columns: list[list]) -> list[list]:
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
     return [[row[j] for row in work] for j in range(size, len(work[0]))]
-
-
-def qt_gram_powersums(n: int) -> list[QtRational]:
-    """Diagonal of the q,t scalar product in the power-sum basis:
-    z_lambda times prod (1-q^part)/(1-t^part)."""
-    out = []
-    for lam in partitions_of(n):
-        num = QtPolynomial.from_int(zee(lam))
-        for part in lam:
-            num = num * binomial_poly(part, 0)
-        out.append(QtRational(num, [(0, part) for part in lam]))
-    return out
 
 
 @cache

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import DomainError
 from .partitions import Partition, partition
 from .qt import QtPolynomial
+
+_W = TypeVar("_W")
 
 
 def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
@@ -152,48 +154,40 @@ def enumerate_ssyt(shape: Partition, content: Sequence[int]) -> Iterator[Ssyt]:
     yield from grow([()], 0)
 
 
+def strip_chain_sums(
+    content: Sequence[int], weight: Callable[[Partition, Partition], _W], one: _W
+) -> dict[Partition, _W]:
+    """For each final shape, the sum over horizontal-strip chains with the
+    given content of the product of ``weight(bigger, smaller)`` per step.
+
+    Layered DP over intermediate shapes: chains sharing a prefix share
+    all the work.  Terms are added in a fixed order, the first one
+    stored as is, so non-canonical sums come out in the same form.
+    """
+    layer = {(): one}
+    for step in content:
+        nxt: dict[Partition, _W] = {}
+        for shape, acc in layer.items():
+            for bigger in horizontal_strip_extensions(shape, step):
+                term = acc * weight(bigger, shape)
+                if bigger in nxt:
+                    nxt[bigger] = nxt[bigger] + term
+                else:
+                    nxt[bigger] = term
+        layer = nxt
+    return layer
+
+
+@cache
+def _kostka_column(content: tuple[int, ...]) -> dict[Partition, int]:
+    return strip_chain_sums(content, lambda bigger, smaller: 1, 1)
+
+
 @cache
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
     """Number of tableaux of the given shape and content (0 on size mismatch)."""
-    shape = partition(shape)
-    content = tuple(int(c) for c in content)
-    if sum(shape) != sum(content):
-        return 0
-    if not content:
-        return 1
-    last = content[-1]
-    rest = content[:-1]
-    total = 0
-    for prev in _strip_predecessors(shape, last):
-        total += kostka_number(prev, rest)
-    return total
-
-
-@cache
-def _strip_predecessors(shape: Partition, strip_size: int) -> tuple[Partition, ...]:
-    """Shapes nu <= shape with shape/nu a horizontal strip of the given size."""
-    out = []
-    rows = len(shape)
-
-    def choose(i: int, prefix: list[int], budget: int) -> None:
-        if budget < 0:
-            return
-        if i == rows:
-            if budget == 0:
-                out.append(tuple(p for p in prefix if p > 0))
-            return
-        hi = shape[i]
-        lo = shape[i + 1] if i + 1 < rows else 0
-        lo = max(lo, hi - budget)
-        if prefix:
-            hi = min(hi, prefix[-1])
-        for v in range(hi, lo - 1, -1):
-            prefix.append(v)
-            choose(i + 1, prefix, budget - (shape[i] - v))
-            prefix.pop()
-
-    choose(0, [], strip_size)
-    return tuple(out)
+    column = _kostka_column(tuple(int(c) for c in content))
+    return column.get(partition(shape), 0)
 
 
 def reading_word(tab: Ssyt) -> list[int]:

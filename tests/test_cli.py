@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qtkostka
-from qtkostka import cli
+from qtkostka import cli, macdonald
 from qtkostka.cli import dispatch
 from qtkostka.errors import ConsistencyError
 from qtkostka.macdonald import build_matrices
@@ -59,7 +59,8 @@ def test_matrix_json(capsys, tmp_path):
 
 # SHA-256 of `matrix --n N --which W` stdout.  The num/den form of an entry
 # is not canonical, so this pins the arithmetic path, not just the values;
-# n = 6 is where the greedy-cancellation forms differ most between paths.
+# n = 6 and 7 are where the greedy-cancellation forms differ most between
+# paths.
 MATRIX_SHA256 = {
     (5, "k"): "469513909c84afd8e681eb69d2f623c37df3c4cf97f14f28a6553cf571fdee27",
     (5, "k1"): "4eafe79129d99ca7c4ec8e3c623ab6cf1e553ac60570319310cea855b5443966",
@@ -71,6 +72,11 @@ MATRIX_SHA256 = {
     (6, "k1inv"): "9906355f2ac9d54f68c6a722244aeaa257e381e6c25375d453fbc779ac7bef97",
     (6, "k2"): "3e7242153ab9fab7760f5edddfee339bd757475d87cefaf39aba79bddb8d6386",
     (6, "k2inv"): "9251102c109029732171752f8f7f1d8f4e5d9cefb357bd85e40e7c2dd9c71c80",
+    (7, "k"): "88cddec4b343df9bb69d60c5ce6b98efeaecfe746978af21cb32c96c040ea8b7",
+    (7, "k1"): "c03faedeab8ee3e5223ed81300ed32c6a143a3cc7ee2d8623adb6073d84f8df1",
+    (7, "k1inv"): "bcdcb128b669ff5f1627bd51b4d2706414a52d9e75199a232d41e26ef8320da1",
+    (7, "k2"): "7db2c8b28b44b92a0d3fa9aac28a0daff802275cb54905f7f02b665b8b1b2963",
+    (7, "k2inv"): "6cf77aa5222fcaf24e8b26db58e8cea68348bf11ae6bd55b28b49b77f4645707",
 }
 
 
@@ -180,13 +186,19 @@ def test_bad_partition_argument(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("case", ["cache_dir_is_a_file", "out_dir_missing"])
+@pytest.mark.parametrize(
+    "case", ["cache_dir_is_a_file", "cache_file_is_a_dir", "out_dir_missing"]
+)
 def test_unusable_path_is_a_usage_error(capsys, tmp_path, case):
     plain = tmp_path / "plain"
     plain.write_text("")
     if case == "cache_dir_is_a_file":
         path = str(plain)
         argv = ["--cache-dir", path, "matrix", "--n", "2", "--which", "k"]
+    elif case == "cache_file_is_a_dir":
+        (tmp_path / "k1_n2.json").mkdir()
+        path = str(tmp_path / "k1_n2.json")
+        argv = ["--cache-dir", str(tmp_path), "matrix", "--n", "2", "--which", "k"]
     else:
         path = str(tmp_path / "missing" / "report.json")
         argv = ["scan", "--max-n", "2", "--max-k", "1", "--out", path]
@@ -194,6 +206,52 @@ def test_unusable_path_is_a_usage_error(capsys, tmp_path, case):
     assert code == 64
     assert err.startswith(f"qtkostka: error: {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unusable_cache_dir_fails_before_computing(capsys, tmp_path, monkeypatch):
+    def no_compute(n):
+        raise AssertionError("matrices computed before --cache-dir was checked")
+
+    monkeypatch.setattr(macdonald, "_compute_matrices", no_compute)
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    code, out, err = run_cli(
+        capsys, "matrix", "--n", "7", "--which", "k", "--cache-dir", str(plain)
+    )
+    assert code == 64 and out == ""
+    assert err.startswith(f"qtkostka: error: {plain}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_COMMAND_ARGV = {
+    "haglund": ["haglund", "--lambda", "2", "--mu", "1,1", "--k", "2"],
+    "scan": ["scan", "--max-n", "2", "--max-k", "1"],
+    "reduce": ["reduce", "--lambda", "2", "--mu", "1,1"],
+    "oracle-verify": ["oracle-verify", "--max-n", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [
+        ("haglund", "latex"),
+        ("scan", "pretty"),
+        ("scan", "latex"),
+        ("reduce", "latex"),
+        ("oracle-verify", "latex"),
+    ],
+)
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_unrendered_format_is_a_usage_error(capsys, command, fmt, before):
+    flag = ["--format", fmt]
+    argv = _COMMAND_ARGV[command]
+    with pytest.raises(SystemExit) as info:
+        dispatch(flag + argv if before else argv + flag)
+    assert info.value.code == 64
+    _, err = capsys.readouterr()
+    assert f"error: {command} renders --format " in err
+    assert err.endswith(f", not {fmt}\n")
 
 
 @pytest.mark.parametrize("case", ["dir_missing", "out_is_a_dir"])

@@ -14,7 +14,6 @@ from qtkostka.oracle import (
     orthogonality_audit,
     pair_equals_qtrational,
     powersum_in_monomials,
-    qt_gram_powersums,
     zee,
 )
 from qtkostka.partitions import partitions_of
@@ -56,16 +55,6 @@ def test_powersum_in_monomials_small():
     assert S[parts3.index((2, 1))] == (1, 1, 0)
     assert S[parts3.index((3,))] == (1, 0, 0)
     assert S[parts3.index((1, 1, 1))] == (1, 3, 6)
-
-
-def test_qt_gram_powersums():
-    diag = qt_gram_powersums(2)
-    parts = partitions_of(2)
-    assert diag[parts.index((2,))] == QtRational(2 * (1 - Q**2), [(0, 2)])
-    assert diag[parts.index((1, 1))] == QtRational(
-        2 * (1 - Q) ** 2, [(0, 1, 2)]
-    )
-    assert qt_gram_powersums(1) == [QtRational(1 - Q, [(0, 1)])]
 
 
 def test_gram_matrix_symmetry():

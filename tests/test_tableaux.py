@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qtkostka.errors import DomainError
@@ -72,6 +74,16 @@ def test_enumerate_ssyt_composition_content():
     assert len(tabs) == 1
     assert tabs[0].rows() == [[1, 3], [3]]
     assert kostka_number((2, 1), (1, 0, 2)) == 1
+    # every content with a zero part, in any position, of at most 4 parts
+    for n in range(6):
+        for k in range(1, 5):
+            for mu in product(range(n + 1), repeat=k):
+                if sum(mu) != n or 0 not in mu:
+                    continue
+                for lam in partitions_of(n):
+                    count = len(list(enumerate_ssyt(lam, mu)))
+                    assert kostka_number(lam, mu) == count
+                    assert len(brute_force_fillings(lam, mu)) == count
 
 
 def test_ssyt_round_trip():
