@@ -1,75 +1,35 @@
-"""First-principles Macdonald P construction by Gram-Schmidt against the
-q,t-deformed Hall scalar product on power sums.
+"""Exact certificate that the pipeline's K1 is the monomial expansion of
+Macdonald's P.
 
-This is the anti-bug oracle for the psi-formula pipeline.  Its exact
-arithmetic runs in sympy's rational function field ZZ(q,t), so the two
-routes share no arithmetic stack; results cross into the package's own
-representation only as (numerator, denominator) polynomial pairs,
-compared downstream by integer cross-multiplication.  Every solved
-system is verified by substitution before being accepted.
+Macdonald (*Symmetric Functions and Hall Polynomials*, VI (4.7)) pins P
+down by two properties: it is unitriangular in dominance, and it is
+orthogonal under the q,t pairing, which is diagonal on power sums,
+<p_rho, p_sigma> = delta z_rho prod (1 - q^rho_i) / (1 - t^rho_i).  The
+checks read K1 only as data (numerator terms and binomial denominator
+factors) and do all their arithmetic on Python ints, so they share no
+arithmetic with qt.py.
 
-Sums of pairings never run in the field, where every ``+`` and ``*``
-cancels through a gcd: the Gram matrix is kept as ZZ[q,t] numerators
-over one shared denominator, each vector is brought to one denominator,
-and images and pairings add in the polynomial ring.
+Each check is a family of identities ``lhs = rhs`` between integer
+polynomials in q, t, cleared of denominators.  One evaluation per side
+at the Kronecker point t = T, q = T^D decides each identity exactly: T
+is one more than twice an l1 bound on ``lhs - rhs`` and D exceeds its
+t-degree, so every monomial lands on its own power of T with a
+coefficient below T/2.  The bound comes from evaluating the same
+expressions on ``_Bound``s, where every coefficient is replaced by its
+absolute value and every binomial 1 - q^a t^b by 2.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
-
-from sympy import ZZ
-from sympy.polys.fields import field
-from sympy.polys.heuristicgcd import heugcd
-from sympy.polys.polyerrors import HeuristicGCDFailed
-from sympy.polys.rings import PolyElement
+from math import factorial, lcm, prod
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .partitions import (
-    Partition,
-    cells,
-    diagram_stats,
-    dominance_leq,
-    partitions_of,
-)
-from .qt import QtPolynomial, QtRational
-
-_FIELD, _q, _t = field("q,t", ZZ)
-_RING = _FIELD.ring
-
-FractionPair = tuple[QtPolynomial, QtPolynomial]
-
-
-def _gcd_zz_with_fallback(f, g):
-    # sympy 1.14's ring gcd over ZZ gives up when its heuristic runs out
-    # of retries; fall back to the dense PRS gcd it ships for other domains
-    try:
-        return heugcd(f, g)
-    except HeuristicGCDFailed:
-        return f.ring.dmp_inner_gcd(f, g)
-
-
-@contextmanager
-def _gcd_fallback():
-    """Route sympy's ZZ gcd through the fallback for the enclosed calls.
-
-    Re-entrant: a nested entry leaves the patch to the outermost one,
-    which restores sympy's own method on exit.  Used as a decorator on
-    the public entry points, so importing this module patches nothing.
-    """
-    original = PolyElement._gcd_ZZ
-    if original is _gcd_zz_with_fallback:
-        yield
-        return
-    PolyElement._gcd_ZZ = _gcd_zz_with_fallback
-    try:
-        yield
-    finally:
-        PolyElement._gcd_ZZ = original
+from .macdonald import build_matrices
+from .partitions import Partition, cells, diagram_stats, dominance_leq, partitions_of
 
 
 def zee(lam: Partition) -> int:
@@ -126,7 +86,7 @@ def powersum_in_monomials(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _solve_linear(matrix: list[list], rhs_columns: list[list]) -> list[list]:
-    """Gauss-Jordan elimination over any exact field (Fractions, ZZ(q,t)).
+    """Gauss-Jordan elimination over an exact field (Fractions).
 
     Returns one solution column x with ``matrix . x = b`` per column b of
     ``rhs_columns``.
@@ -147,220 +107,254 @@ def _solve_linear(matrix: list[list], rhs_columns: list[list]) -> list[list]:
     return [[row[j] for row in work] for j in range(size, len(work[0]))]
 
 
-@cache
-def gram_matrix_monomials(n: int):
-    """Pairings <m_a, m_b>_{q,t} over the degree-n partition index, as
-    ``(rows, denominator)``: <m_a, m_b> = rows[a][b] / denominator.
+def kronecker_point(bound: int, t_degree: int) -> tuple[int, int]:
+    """(q, t) = (T^D, T) with T = 2 bound + 1 and D = t_degree + 1.
 
-    The shared denominator is an integer multiple of
-    prod_k (1-t^k)^(n//k); every numerator is built in the polynomial
-    ring, so no entry needs a gcd.
+    An integer polynomial with nonnegative exponents, l1 norm at most
+    ``bound`` and t-degree at most ``t_degree`` vanishes there only if
+    it is 0: its value is sum c_ab T^(aD + b) with distinct powers and
+    every |c_ab| < T/2.
     """
-    parts = partitions_of(n)
-    size = len(parts)
-    ring = _RING
-    rq, rt = ring.gens
+    t = 2 * bound + 1
+    return t ** (t_degree + 1), t
+
+
+class _Bound:
+    """An l1 norm and a t-degree bounding an integer polynomial in q, t.
+
+    Sums and products of bounds bound the sums and products of what they
+    bound; an int stands for a constant polynomial.  The class is also
+    the evaluation of the leaves as bounds.
+    """
+
+    __slots__ = ("norm", "t_degree")
+
+    def __init__(self, norm: int, t_degree: int = 0):
+        self.norm = norm
+        self.t_degree = t_degree
+
+    def __add__(self, other: "_Bound | int") -> "_Bound":
+        if isinstance(other, int):
+            other = _Bound(abs(other))
+        return _Bound(self.norm + other.norm, max(self.t_degree, other.t_degree))
+
+    def __mul__(self, other: "_Bound | int") -> "_Bound":
+        if isinstance(other, int):
+            other = _Bound(abs(other))
+        return _Bound(self.norm * other.norm, self.t_degree + other.t_degree)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    @staticmethod
+    def poly(terms) -> "_Bound":
+        return _Bound(sum(abs(c) for _, c in terms), max(b for (_, b), _ in terms))
+
+    @staticmethod
+    def binomial(a: int, b: int) -> "_Bound":
+        return _Bound(2, b)
+
+
+class _Point:
+    """Leaves evaluated at the Kronecker point of a bound."""
+
+    def __init__(self, bound: _Bound):
+        self.q, self.t = kronecker_point(bound.norm, bound.t_degree)
+        self._stride = bound.t_degree + 1
+        self._powers: dict[int, int] = {}
+
+    def _monomial(self, a: int, b: int) -> int:
+        k = a * self._stride + b
+        power = self._powers.get(k)
+        if power is None:
+            power = self._powers[k] = self.t**k
+        return power
+
+    def poly(self, terms) -> int:
+        return sum(c * self._monomial(a, b) for (a, b), c in terms)
+
+    def binomial(self, a: int, b: int) -> int:
+        return 1 - self._monomial(a, b)
+
+
+def pipeline_k1(n: int):
+    """The matrix the certificate checks: the pipeline's K1 at degree n."""
+    return build_matrices(n).k1
+
+
+def _inverse_transition(n: int) -> tuple[list[list[int]], int]:
+    """(M, s): s is the lcm of the denominators of C^-1, for C the
+    power-sum-to-monomial matrix, and M = s C^-1, so that
+    m_mu = sum_rho M[mu][rho] p_rho / s."""
+    size = len(partitions_of(n))
     transition = [[Fraction(x) for x in row] for row in powersum_in_monomials(n)]
     identity = [[Fraction(int(i == j)) for i in range(size)] for j in range(size)]
     # the columns of the inverse, transposed to rows
     cinv = list(zip(*_solve_linear(transition, identity)))
-    denominator_lcm = 1
-    for row in cinv:
-        for x in row:
-            denominator_lcm = lcm(denominator_lcm, x.denominator)
-    scale = denominator_lcm * denominator_lcm
-    common = ring.one * scale
-    for k in range(1, n + 1):
-        common = common * (ring.one - rt**k) ** (n // k)
-    lam_terms = []
-    for lam in parts:
-        term = ring.one * zee(lam)
-        mult = [0] + [n // k for k in range(1, n + 1)]
-        for part in lam:
-            term = term * (ring.one - rq**part)
-            mult[part] -= 1
-        for k in range(1, n + 1):
-            term = term * (ring.one - rt**k) ** mult[k]
-        lam_terms.append(term)
-    rows = [[ring.zero] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            acc = ring.zero
-            for k in range(size):
-                r = cinv[a][k] * cinv[b][k] * scale
-                if r:
-                    if r.denominator != 1:
-                        raise ConsistencyError("gram scaling not integral")
-                    acc = acc + lam_terms[k] * int(r)
-            rows[a][b] = acc
-            rows[b][a] = acc
-    return tuple(tuple(row) for row in rows), common
+    s = lcm(*(x.denominator for row in cinv for x in row))
+    return [[int(x * s) for x in row] for row in cinv], s
 
 
-def _element_to_pair(element) -> FractionPair:
-    """A field element as an integer-coefficient (num, den) pair."""
+class _Degree(NamedTuple):
+    """K1 at one degree, cleared of denominators, in one evaluation.
 
-    def to_qt(poly_element) -> QtPolynomial:
-        return QtPolynomial(
-            {
-                (int(eq), int(et)): int(c)
-                for (eq, et), c in poly_element.terms()
-            }
+    Row lam of K1 is ``numerators[lam]`` over L_lam = ``lcms[lam]``, the
+    product of the row's denominator factors at their largest
+    multiplicity, and s L_lam P_lam = sum_rho v[lam][rho] p_rho.  With
+    E = prod_k (1 - t^k)^(n//k) and
+    w_rho = z_rho prod_i (1 - q^rho_i) E / prod_i (1 - t^rho_i),
+    ``w[lam][rho]`` is v[lam][rho] w_rho, so that
+    <f, g> = sum_rho f_rho g_rho w_rho / E on power-sum coefficients.
+    """
+
+    ring: object
+    parts: tuple
+    m_rows: list
+    s: int
+    e: object
+    lcms: list
+    numerators: list
+    v: list
+    w: list
+
+
+def _binomials(ring, counts: Counter):
+    """prod (1 - q^a t^b)^m over the multiset ``counts`` of (a, b)."""
+    return prod(ring.binomial(a, b) for a, b in counts.elements())
+
+
+def _degree(ring, n: int, k1, m_rows, s) -> _Degree:
+    """K1 at degree n cleared of denominators, with leaves from ``ring``."""
+    parts = partitions_of(n)
+    e_counts = Counter({(0, k): n // k for k in range(1, n + 1)})
+    weights = [
+        zee(rho)
+        * prod(ring.binomial(part, 0) for part in rho)
+        * _binomials(ring, e_counts - Counter((0, part) for part in rho))
+        for rho in parts
+    ]
+    lcms, numerators, v, w = [], [], [], []
+    for row in k1.entries:
+        dens = [Counter({(a, b): m for a, b, m in entry.den}) for entry in row]
+        top = Counter()
+        for den in dens:
+            top |= den
+        lcms.append(_binomials(ring, top))
+        numerators.append([
+            ring.poly(entry.num.terms()) * _binomials(ring, top - den)
+            if entry.num.terms() else 0
+            for entry, den in zip(row, dens)
+        ])
+        v_row = [
+            sum(x * m_rows[j][r] for j, x in enumerate(numerators[-1]) if x)
+            for r in range(len(parts))
+        ]
+        v.append(v_row)
+        w.append([x * y for x, y in zip(v_row, weights)])
+    e = _binomials(ring, e_counts)
+    return _Degree(ring, parts, m_rows, s, e, lcms, numerators, v, w)
+
+
+def _k1_identities(d: _Degree):
+    """K1 is unitriangular in dominance, and <P_lam, m_nu> = 0 for every
+    nu after lam in descending lex: K1 is P's transition matrix by
+    VI (4.7)."""
+    for i, lam in enumerate(d.parts):
+        for j, mu in enumerate(d.parts):
+            if i == j:
+                yield d.numerators[i][j], d.lcms[i]
+            elif not dominance_leq(mu, lam):
+                yield d.numerators[i][j], 0
+            if j > i:
+                yield sum(x * y for x, y in zip(d.w[i], d.m_rows[j]) if y), 0
+
+
+def _orthogonality_identities(d: _Degree):
+    """<P_lam, P_kappa> = 0 for lam != kappa."""
+    for i, v_row in enumerate(d.v):
+        for w_row in d.w[i + 1 :]:
+            yield sum(x * y for x, y in zip(v_row, w_row)), 0
+
+
+def _cells_product(ring, lam: Partition, arm_shift: int, leg_shift: int):
+    return prod(
+        ring.binomial(st.arm + arm_shift, st.leg + leg_shift)
+        for st in (diagram_stats(lam, x) for x in cells(lam))
+    )
+
+
+def _normalization_identities(d: _Degree):
+    """c_lam <P_lam, P_lam> = c'_lam, for c_lam = prod (1 - q^arm t^(leg+1))
+    and c'_lam = prod (1 - q^(arm+1) t^leg) over the cells."""
+    for lam, v_row, w_row, lcm_row in zip(d.parts, d.v, d.w, d.lcms):
+        c = _cells_product(d.ring, lam, 0, 1)
+        c_prime = _cells_product(d.ring, lam, 1, 0)
+        yield (
+            c * sum(x * y for x, y in zip(v_row, w_row)),
+            c_prime * d.s * d.s * lcm_row * lcm_row * d.e,
         )
 
-    return to_qt(element.numer), to_qt(element.denom)
+
+def _plethysm_identities(d: _Degree):
+    """h_n[X (1-t)/(1-q)] = b_(n) P_(n), one power-sum coefficient at a
+    time: z_rho^-1 prod_i (1 - t^rho_i) / (1 - q^rho_i) on the left."""
+    ring, row = d.ring, d.parts[0]
+    c = _cells_product(ring, row, 0, 1)
+    c_prime = _cells_product(ring, row, 1, 0)
+    for rho, value in zip(d.parts, d.v[0]):
+        yield (
+            prod(ring.binomial(0, part) for part in rho) * c_prime * d.s * d.lcms[0],
+            zee(rho) * prod(ring.binomial(part, 0) for part in rho) * c * value,
+        )
 
 
-def pair_equals_qtrational(pair: FractionPair, value: QtRational) -> bool:
-    """Cross-multiplication equality between the two representations."""
-    num, den = pair
-    return num * value.den_expanded() == value.num * den
-
-
-@dataclass(frozen=True)
-class SymFuncInBasis:
-    """A degree-homogeneous symmetric function as a coefficient vector
-    over the descending-lex partition index (entries in ZZ(q,t))."""
-
-    degree: int
-    basis: str  # "monomial" | "powersum"
-    coefficients: tuple
-
-    def coefficient(self, lam: Partition):
-        return self.coefficients[partitions_of(self.degree).index(tuple(lam))]
-
-    def coefficient_pair(self, lam: Partition) -> FractionPair:
-        return _element_to_pair(self.coefficient(lam))
-
-
-def _over_common_denominator(u) -> tuple[list, object]:
-    """Field entries u_a = U_a / L over one ring denominator L, the lcm
-    of the entries' denominators: returns ([U_a], L)."""
-    den = _RING.one
-    for x in u:
-        if x:
-            den = den.lcm(x.denom)
-    return [x.numer * den.exquo(x.denom) for x in u], den
-
-
-def _gram_image(gram_rows, u_num) -> list:
-    """w = G . U in the ring; for a Gram matrix G / D and a vector
-    U / L, <u, v> = sum_b v[b] w[b] / (L D) for any v."""
-    nonzero = [a for a, x in enumerate(u_num) if x]
-    return [
-        sum((u_num[a] * gram_rows[a][b] for a in nonzero), _RING.zero)
-        for b in range(len(u_num))
-    ]
-
-
-def _pairing(v_num, w):
-    return sum((x * y for x, y in zip(v_num, w) if x), _RING.zero)
+_FAMILIES = (
+    _k1_identities,
+    _orthogonality_identities,
+    _normalization_identities,
+    _plethysm_identities,
+)
 
 
 @cache
-@_gcd_fallback()
-def gram_schmidt_P(n: int) -> dict[Partition, SymFuncInBasis]:
-    """Monomial expansions of all P_lambda at degree n.
-
-    Partitions are processed upward in dominance; for each lambda the
-    coefficients on strictly dominated monomials solve the
-    orthogonality system against everything already built, and each
-    solution is verified by substitution before being accepted.
-    """
-    parts = partitions_of(n)
-    size = len(parts)
-    pos = {p: i for i, p in enumerate(parts)}
-    gram, gram_den = gram_matrix_monomials(n)
-    built: dict[Partition, SymFuncInBasis] = {}
-    # images[nu] = the numerators of <m_gamma, P_nu> over gamma, and
-    # g_rows[nu] the same pairings as field entries for the solve
-    images: dict[Partition, list] = {}
-    g_rows: dict[Partition, list] = {}
-    for lam in reversed(parts):
-        below = [mu for mu in parts if mu != lam and dominance_leq(mu, lam)]
-        vec = [_FIELD(0)] * size
-        vec[pos[lam]] = _FIELD(1)
-        if below:
-            matrix = [[g_rows[nu][pos[mu]] for mu in below] for nu in below]
-            rhs = [-g_rows[nu][pos[lam]] for nu in below]
-            (solution,) = _solve_linear(matrix, [rhs])
-            for mu, value in zip(below, solution):
-                vec[pos[mu]] = value
-        vec_num, vec_den = _over_common_denominator(vec)
-        for nu in below:
-            if _pairing(vec_num, images[nu]):
-                raise ConsistencyError(
-                    f"Gram-Schmidt verification failed at {lam} vs {nu}"
-                )
-        built[lam] = SymFuncInBasis(n, "monomial", tuple(vec))
-        if lam == parts[0]:
-            break  # P_(n) is built last: no later system reads its image
-        images[lam] = _gram_image(gram, vec_num)
-        image_den = vec_den * gram_den
-        g_rows[lam] = [_FIELD.new(w, image_den) for w in images[lam]]
-    return built
+def _certified_degree(n: int) -> _Degree | None:
+    """K1 at degree n at one Kronecker point that decides every identity
+    of every family; None if a K1 numerator has a negative exponent."""
+    k1 = pipeline_k1(n)
+    terms = [term for row in k1.entries for entry in row for term in entry.num.terms()]
+    if any(a < 0 or b < 0 for (a, b), _ in terms):
+        return None
+    m_rows, s = _inverse_transition(n)
+    bounds = _degree(_Bound, n, k1, m_rows, s)
+    norm, t_degree = 0, 0
+    for family in _FAMILIES:
+        for lhs, rhs in family(bounds):
+            both = _Bound(0) + lhs + rhs
+            norm = max(norm, both.norm)
+            t_degree = max(t_degree, both.t_degree)
+    return _degree(_Point(_Bound(norm, t_degree)), n, k1, m_rows, s)
 
 
-@_gcd_fallback()
+def _holds(family, n: int) -> bool:
+    d = _certified_degree(n)
+    return d is not None and all(lhs == rhs for lhs, rhs in family(d))
+
+
+def check_k1_match(n: int) -> bool:
+    """Is the pipeline's K1 the transition matrix from P to m?"""
+    return _holds(_k1_identities, n)
+
+
 def orthogonality_audit(n: int) -> bool:
-    """Recompute every off-diagonal pairing from the built basis."""
-    parts = partitions_of(n)
-    gram, _ = gram_matrix_monomials(n)
-    built = gram_schmidt_P(n)
-    numerators = [
-        _over_common_denominator(built[lam].coefficients)[0] for lam in parts
-    ]
-    for i, u_num in enumerate(numerators):
-        w = _gram_image(gram, u_num)
-        if any(_pairing(v_num, w) for v_num in numerators[i + 1 :]):
-            return False
-    return True
+    """Are the pipeline's P_lambda pairwise orthogonal?"""
+    return _holds(_orthogonality_identities, n)
 
 
-@_gcd_fallback()
-def b_norm_factor(lam: Partition):
-    """b_lambda = c_lambda / c'_lambda read off the diagram."""
-    value = _FIELD(1)
-    for x in cells(lam):
-        s = diagram_stats(lam, x)
-        value = (
-            value
-            * (1 - _q**s.arm * _t ** (s.leg + 1))
-            / (1 - _q ** (s.arm + 1) * _t**s.leg)
-        )
-    return value
-
-
-@_gcd_fallback()
 def check_pairing_normalization(n: int) -> bool:
     """<P_lam, Q_lam> = 1, i.e. b_lam <P_lam, P_lam> = 1."""
-    gram, gram_den = gram_matrix_monomials(n)
-    built = gram_schmidt_P(n)
-    for lam in partitions_of(n):
-        u_num, u_den = _over_common_denominator(built[lam].coefficients)
-        # <P_lam, P_lam> = norm / (u_den^2 gram_den)
-        norm = _pairing(u_num, _gram_image(gram, u_num))
-        b = b_norm_factor(lam)
-        if b.numer * norm != b.denom * u_den**2 * gram_den:
-            return False
-    return True
+    return _holds(_normalization_identities, n)
 
 
-@_gcd_fallback()
 def check_Qn_plethysm(n: int) -> bool:
-    """Does h_n[X (1-t)/(1-q)] equal b_(n) P_(n) in the monomial basis?"""
-    parts = partitions_of(n)
-    transition = powersum_in_monomials(n)
-    size = len(parts)
-    # h_n = sum_lam p_lam / z_lam; the plethysm scales p_k by (1-t^k)/(1-q^k)
-    lhs = [_FIELD(0)] * size
-    for i, lam in enumerate(parts):
-        coeff = _FIELD(1) / _FIELD(zee(lam))
-        for part in lam:
-            coeff = coeff * (1 - _t**part) / (1 - _q**part)
-        for j in range(size):
-            if transition[i][j]:
-                lhs[j] = lhs[j] + coeff * transition[i][j]
-    b_row = b_norm_factor((n,))
-    p_row = gram_schmidt_P(n)[(n,)].coefficients
-    return all(lhs[j] == b_row * p_row[j] for j in range(size))
+    """Does h_n[X (1-t)/(1-q)] equal b_(n) P_(n)?"""
+    return _holds(_plethysm_identities, n)

@@ -150,6 +150,13 @@ def test_oracle_verify(capsys):
     assert [d["n"] for d in obj["degrees"]] == [1, 2]
 
 
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_oracle_verify_checks_at_least_one_degree(capsys, max_n):
+    code, out, err = run_cli(capsys, "oracle-verify", "--max-n", max_n)
+    assert code == 1 and out == ""
+    assert err == f"domain error: --max-n must be at least 1, got {max_n}\n"
+
+
 def test_fstat(capsys):
     code, out, _ = run_cli(capsys, "fstat", "--mu", "2,1")
     assert code == 0
@@ -294,7 +301,7 @@ def test_empty_partition_argument(capsys):
 
 
 # Run the CLI in a fresh interpreter and report whether sympy got loaded;
-# the in-process suite imports the oracle, so only a subprocess can tell.
+# an in-process check would see whatever the test session imported.
 _SYMPY_PROBE = (
     "import sys; from qtkostka.cli import dispatch; code = dispatch(sys.argv[1:]); "
     "print('sympy' in sys.modules, file=sys.stderr); sys.exit(code)"
@@ -302,18 +309,18 @@ _SYMPY_PROBE = (
 
 
 @pytest.mark.parametrize(
-    "argv, loads_sympy",
+    "argv",
     [
-        (["fstat", "--mu", "3,2,1"], False),
-        (["kcoeff", "--lambda", "4,2", "--mu", "2,2,1,1"], False),
-        (["haglund", "--lambda", "3,2,1", "--mu", "2,2,1,1", "--k", "2"], False),
-        (["reduce", "--lambda", "5,3,3", "--mu", "4,4,1,1,1"], False),
-        (["matrix", "--n", "3", "--which", "k2"], False),
-        (["--format", "pretty", "oracle-verify", "--max-n", "2"], True),
+        ["fstat", "--mu", "3,2,1"],
+        ["kcoeff", "--lambda", "4,2", "--mu", "2,2,1,1"],
+        ["haglund", "--lambda", "3,2,1", "--mu", "2,2,1,1", "--k", "2"],
+        ["reduce", "--lambda", "5,3,3", "--mu", "4,4,1,1,1"],
+        ["matrix", "--n", "3", "--which", "k2"],
+        ["--format", "pretty", "oracle-verify", "--max-n", "2"],
     ],
     ids=["fstat", "kcoeff", "haglund", "reduce", "matrix", "oracle-verify"],
 )
-def test_only_oracle_verify_loads_sympy(tmp_path, argv, loads_sympy):
+def test_no_command_loads_sympy(tmp_path, argv):
     build_matrices(3, cache_dir=str(tmp_path))  # the matrix call reads it
     src = os.path.dirname(os.path.dirname(qtkostka.__file__))
     proc = subprocess.run(
@@ -324,6 +331,6 @@ def test_only_oracle_verify_loads_sympy(tmp_path, argv, loads_sympy):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == str(loads_sympy)
-    if loads_sympy:
+    assert proc.stderr.strip().splitlines()[-1] == "False"
+    if "oracle-verify" in argv:
         assert proc.stdout.splitlines()[-1] == "all degrees PASS"

@@ -1,36 +1,42 @@
-from sympy.polys.rings import PolyElement
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtkostka import oracle
-from qtkostka.macdonald import build_matrices
+from qtkostka.macdonald import TriangularMatrix, build_matrices
 from qtkostka.oracle import (
-    SymFuncInBasis,
-    _FIELD,
-    _q,
-    _t,
+    check_k1_match,
     check_pairing_normalization,
     check_Qn_plethysm,
-    gram_matrix_monomials,
-    gram_schmidt_P,
+    kronecker_point,
     orthogonality_audit,
-    pair_equals_qtrational,
     powersum_in_monomials,
     zee,
 )
 from qtkostka.partitions import partitions_of
-from qtkostka.qt import Q, T, QtRational
+from qtkostka.qt import Q, T, QtPolynomial, QtRational
+
+CHECKS = {
+    "k1_match": check_k1_match,
+    "orthogonality": orthogonality_audit,
+    "normalization": check_pairing_normalization,
+    "qn_plethysm": check_Qn_plethysm,
+}
 
 
-def oracle_matches_pipeline(n: int) -> bool:
-    """Cross-multiplication equality of the oracle and psi-route K1."""
-    k1 = build_matrices(n).k1
-    built = gram_schmidt_P(n)
-    parts = partitions_of(n)
-    for lam in parts:
-        for mu in parts:
-            pair = built[lam].coefficient_pair(mu)
-            if not pair_equals_qtrational(pair, k1.entry(lam, mu)):
-                return False
-    return True
+@pytest.fixture
+def substitute_k1(monkeypatch):
+    """Certify a given matrix in place of the pipeline's K1."""
+
+    def substitute(matrix):
+        monkeypatch.setattr(oracle, "pipeline_k1", lambda _n: matrix)
+        oracle._certified_degree.cache_clear()
+
+    yield substitute
+    oracle._certified_degree.cache_clear()
+
+
+def flags(n: int) -> dict[str, bool]:
+    return {name: check(n) for name, check in CHECKS.items()}
 
 
 def test_zee():
@@ -57,32 +63,23 @@ def test_powersum_in_monomials_small():
     assert S[parts3.index((1, 1, 1))] == (1, 3, 6)
 
 
-def test_gram_matrix_symmetry():
-    for n in (2, 3):
-        gram, _ = gram_matrix_monomials(n)
-        size = len(partitions_of(n))
-        for i in range(size):
-            for j in range(size):
-                assert gram[i][j] == gram[j][i]
-
-
-def test_gram_schmidt_degree_one_and_two():
-    built = gram_schmidt_P(1)
-    assert built[(1,)].coefficient((1,)) == _FIELD(1)
-    built = gram_schmidt_P(2)
-    coeff = built[(2,)].coefficient((1, 1))
-    assert coeff == (1 + _q) * (1 - _t) / (1 - _q * _t)
-    assert built[(1, 1)].coefficient((2,)) == 0
-    assert built[(1, 1)].basis == "monomial"
-    pair = built[(2,)].coefficient_pair((1, 1))
-    assert pair_equals_qtrational(
-        pair, QtRational((1 + Q) * (1 - T), [(1, 1)])
-    )
+def test_gram_schmidt_degree_one_and_two(substitute_k1):
+    # P by hand: P_(1) = m_(1); P_(2) = m_(2) + (1+q)(1-t)/(1-qt) m_(1,1)
+    substitute_k1(TriangularMatrix(1, [[QtRational(1)]]))
+    assert all(flags(1).values())
+    one, zero = QtRational(1), QtRational(0)
+    coefficient = QtRational((1 + Q) * (1 - T), [(1, 1)])
+    substitute_k1(TriangularMatrix(2, [[one, coefficient], [zero, one]]))
+    assert all(flags(2).values())
+    # q and t swapped: unitriangular, but not orthogonal
+    swapped = QtRational((1 + T) * (1 - Q), [(1, 1)])
+    substitute_k1(TriangularMatrix(2, [[one, swapped], [zero, one]]))
+    assert flags(2) == dict.fromkeys(CHECKS, False)
 
 
 def test_oracle_matches_pipeline_small():
     for n in range(1, 5):
-        assert oracle_matches_pipeline(n)
+        assert check_k1_match(n)
 
 
 def test_orthogonality_audit():
@@ -100,74 +97,123 @@ def test_qn_plethysm():
         assert check_Qn_plethysm(n)
 
 
-def test_audits_catch_a_perturbed_basis(monkeypatch):
-    # (degree, P_lambda, coefficient changed by adding 1); at n = 4 the
-    # coefficient of m_(2,1,1) in P_(3,1) has a non-trivial denominator
-    for n, lam, mu in ((3, (2, 1), (1, 1, 1)), (4, (3, 1), (2, 1, 1))):
-        real = gram_schmidt_P(n)
-        coeffs = list(real[lam].coefficients)
-        index = partitions_of(n).index(mu)
-        if n == 4:
-            assert coeffs[index].denom != 1
-        coeffs[index] += 1
-        perturbed = dict(real)
-        perturbed[lam] = SymFuncInBasis(n, "monomial", tuple(coeffs))
-        monkeypatch.setattr(oracle, "gram_schmidt_P", lambda _n: perturbed)
-        assert not orthogonality_audit(n)
-        assert not check_pairing_normalization(n)
-        monkeypatch.undo()
+def _perturbed_k1(n, lam, mu, change):
+    k1 = build_matrices(n).k1
+    entries = [list(row) for row in k1.entries]
+    parts = partitions_of(n)
+    i, j = parts.index(lam), parts.index(mu)
+    entries[i][j] = change(entries[i][j])
+    return TriangularMatrix(n, entries)
 
 
-def _field_image(gram, u):
-    # the term-by-term sum in ZZ(q,t) that the ring image replaces
-    size = len(u)
-    return [
-        sum((u[a] * gram[a][b] for a in range(size) if u[a] != 0), _FIELD(0))
-        for b in range(size)
+def test_audits_catch_a_perturbed_basis(substitute_k1):
+    # (degree, P_lambda, coefficient of m_mu changed by adding q)
+    cases = [
+        (3, (2, 1), (1, 1, 1)),
+        # K1((3,1), (2,1,1)) has a non-trivial denominator
+        (4, (3, 1), (2, 1, 1)),
+        (5, (3, 2), (2, 2, 1)),
+        # the row of P_(n), which the plethysm reads
+        (5, (5,), (1, 1, 1, 1, 1)),
     ]
+    for n, lam, mu in cases:
+        k1 = _perturbed_k1(n, lam, mu, lambda entry: entry + Q)
+        if n == 4:
+            assert k1.entry(lam, mu).den
+        substitute_k1(k1)
+        expected = {
+            "k1_match": False,
+            "orthogonality": False,
+            "normalization": False,
+            "qn_plethysm": lam != (n,),
+        }
+        assert flags(n) == expected, (n, lam, mu)
 
 
-def _field_pairing(v, w):
-    return sum((x * y for x, y in zip(v, w) if x != 0), _FIELD(0))
-
-
-def test_ring_image_matches_field_sum():
-    for n in range(1, 5):
-        rows, gram_den = gram_matrix_monomials(n)
-        gram = [[_FIELD.new(x, gram_den) for x in row] for row in rows]
-        built = gram_schmidt_P(n)
-        vectors = [built[lam].coefficients for lam in partitions_of(n)]
-        for u in vectors:
-            u_num, u_den = oracle._over_common_denominator(u)
-            assert [_FIELD.new(x, u_den) for x in u_num] == list(u)
-            image = oracle._gram_image(rows, u_num)
-            field_image = _field_image(gram, u)
-            image_den = u_den * gram_den
-            assert [_FIELD.new(x, image_den) for x in image] == field_image
-            for v in vectors:
-                v_num, v_den = oracle._over_common_denominator(v)
-                pairing = oracle._pairing(v_num, image)
-                assert _FIELD.new(pairing, v_den * image_den) == (
-                    _field_pairing(v, field_image)
-                )
-
-
-def test_gcd_fallback_is_scoped_to_oracle_calls(monkeypatch):
-    def sympy_own():
-        return PolyElement._gcd_ZZ.__module__ == "sympy.polys.rings"
-
-    assert sympy_own()
-    seen = []
-    real = gram_schmidt_P
-
-    def spy(n):
-        seen.append(PolyElement._gcd_ZZ is oracle._gcd_zz_with_fallback)
-        # a nested entry point must leave the outer call's patch in place
-        assert oracle.b_norm_factor((2, 1)) != 0
-        seen.append(PolyElement._gcd_ZZ is oracle._gcd_zz_with_fallback)
-        return real(n)
-
-    monkeypatch.setattr(oracle, "gram_schmidt_P", spy)
+def test_k1_match_reads_the_diagonal_and_the_upper_triangle(substitute_k1):
+    # 2 P_(2,1) is still orthogonal to every other P and to m_(1,1,1)
+    k1 = build_matrices(3).k1
+    entries = [list(row) for row in k1.entries]
+    entries[1] = [entry * 2 for entry in entries[1]]
+    substitute_k1(TriangularMatrix(3, entries))
+    assert not check_k1_match(3)
     assert orthogonality_audit(3)
-    assert seen == [True, True]
-    assert sympy_own()
+    # q m_(2,1) in P_(1,1,1) leaves every <P_lam, m_nu>, nu after lam, at 0
+    substitute_k1(_perturbed_k1(3, (1, 1, 1), (2, 1), lambda entry: entry + Q))
+    assert not check_k1_match(3)
+
+
+def test_negative_exponent_fails_every_check(substitute_k1):
+    # K1((2,1), (1,1,1)) over t: outside the row of P_(3), which is all
+    # the plethysm reads, so only the exponent check can fail it
+    def laurent(entry):
+        return QtRational(entry.num * QtPolynomial.monomial(1, 0, -1), entry.den)
+
+    substitute_k1(_perturbed_k1(3, (2, 1), (1, 1, 1), laurent))
+    assert flags(3) == dict.fromkeys(CHECKS, False)
+
+
+@st.composite
+def int_polynomials(draw):
+    # a sum of terms over a small exponent box, so that terms often
+    # collide and cancel
+    terms: dict[tuple[int, int], int] = {}
+    for _ in range(draw(st.integers(0, 6))):
+        e = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        terms[e] = terms.get(e, 0) + draw(st.integers(-4, 4))
+    return terms
+
+
+def _at(terms, point):
+    q, t = point
+    return sum(c * q**a * t**b for (a, b), c in terms.items())
+
+
+@given(int_polynomials())
+@settings(max_examples=200, deadline=None)
+def test_kronecker_point_decides_zero(terms):
+    bound = sum(abs(c) for c in terms.values())
+    t_degree = max((b for (_, b), c in terms.items() if c), default=0)
+    value = _at(terms, kronecker_point(bound, t_degree))
+    assert (value == 0) == (not any(terms.values()))
+
+
+def test_kronecker_point_beats_a_naive_point():
+    # q - t^2 vanishes at (4, 2) but not at its certified point
+    terms = {(1, 0): 1, (0, 2): -1}
+    assert _at(terms, (4, 2)) == 0
+    assert kronecker_point(2, 2) == (125, 5)
+    assert _at(terms, kronecker_point(2, 2)) != 0
+
+
+def _times(f, g):
+    out: dict[tuple[int, int], int] = {}
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _plus(f, g):
+    return {e: f.get(e, 0) + g.get(e, 0) for e in f.keys() | g.keys()}
+
+
+@given(int_polynomials(), int_polynomials(), st.integers(0, 3), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_bounds_and_point_follow_the_arithmetic(f, g, a, b):
+    # f (1 - q^a t^b) + g, by dict arithmetic, through the bound and at
+    # the point that bound picks
+    f = {e: c for e, c in f.items() if c} or {(0, 0): 1}
+    g = {e: c for e, c in g.items() if c} or {(0, 0): 1}
+    exact = _plus(_times(f, {(0, 0): 1, (a, b): -1}), g)
+
+    def evaluate(ring):
+        terms_f, terms_g = sorted(f.items()), sorted(g.items())
+        return ring.poly(terms_f) * ring.binomial(a, b) + ring.poly(terms_g)
+
+    bound = evaluate(oracle._Bound)
+    assert bound.norm >= sum(abs(c) for c in exact.values())
+    assert bound.t_degree >= max((e[1] for e, c in exact.items() if c), default=0)
+    point = oracle._Point(bound)
+    assert evaluate(point) == _at(exact, (point.q, point.t))

@@ -1,7 +1,12 @@
+import operator
+from fractions import Fraction
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtkostka.errors import ConsistencyError, DomainError, PoleError
+from qtkostka.oracle import kronecker_point
 from qtkostka.qt import (
     ONE,
     Q,
@@ -274,28 +279,37 @@ def test_results_store_no_zero_coefficient(a, b, n, k, ab):
         assert x == y and hash(x) == hash(y)
 
 
-def _lift_to_sympy_field(r):
-    from qtkostka.oracle import _FIELD, _q, _t
+def _point_for(*rationals):
+    """A Kronecker point deciding r = a op b exactly, for op in +, -, *
+    and r, a, b among ``rationals``.
 
-    def poly(p):
-        total = _FIELD(0)
-        for (eq, et), c in p.terms():
-            total += c * _q**eq * _t**et
-        return total
+    Cleared of denominators the identity is N = 0 for
+    N = r.num a.den b.den - X r.den, with X one of a.num b.den +- b.num a.den
+    and a.num b.num.  If every numerator has l1 norm at most ``norm`` and
+    t-exponents in [-e, e], and every denominator is a product of at most
+    k binomials of total t-degree at most d, then ||N||_1 <= (norm+2)^2 4^k
+    and some q^i t^(2e) N is a polynomial of t-degree at most 4e + 2d.
+    """
+    norm = max(sum(abs(c) for _, c in r.num.terms()) for r in rationals)
+    e = max((abs(et) for r in rationals for (_, et), _ in r.num.terms()), default=0)
+    k = max(sum(f.multiplicity for f in r.den) for r in rationals)
+    d = max(sum(f.b * f.multiplicity for f in r.den) for r in rationals)
+    return kronecker_point((norm + 2) ** 2 * 4**k, 4 * e + 2 * d)
 
-    return poly(r.num) / poly(r.den_expanded())
+
+def _value(r, point):
+    # the denominator from its factors, so no qt arithmetic is involved
+    q, t = map(Fraction, point)
+    num = sum((c * q**a * t**b for (a, b), c in r.num.terms()), Fraction(0))
+    den = prod((1 - q**f.a * t**f.b) ** f.multiplicity for f in r.den)
+    return num / den
 
 
 @given(qt_rationals(), qt_rationals())
 @settings(max_examples=40, deadline=None)
 def test_arithmetic_matches_independent_stack(a, b):
-    # the hand-built rationals and sympy's fraction field must agree
-    assert _lift_to_sympy_field(a + b) == _lift_to_sympy_field(
-        a
-    ) + _lift_to_sympy_field(b)
-    assert _lift_to_sympy_field(a * b) == _lift_to_sympy_field(
-        a
-    ) * _lift_to_sympy_field(b)
-    assert _lift_to_sympy_field(a - b) == _lift_to_sympy_field(
-        a
-    ) - _lift_to_sympy_field(b)
+    # plain Fractions at a point where agreement proves the identity
+    results = {op: op(a, b) for op in (operator.add, operator.sub, operator.mul)}
+    point = _point_for(a, b, *results.values())
+    for op, r in results.items():
+        assert _value(r, point) == op(_value(a, point), _value(b, point))
