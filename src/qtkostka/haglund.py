@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
+from typing import Iterable
 
 from .errors import DomainError
 from .macdonald import kostka_foulkes_hook_form
@@ -29,7 +29,7 @@ from .qt import (
     QtPolynomial,
     divide_by_one_minus_t_power,
     is_nonneg_polynomial,
-    times_t_number,
+    times_t_numbers,
 )
 from .reductions import decompose_irreducible, fast_k
 from .tableaux import kostka_number
@@ -67,6 +67,26 @@ class HaglundVerdict:
         }
 
 
+def _row_quotient(mu: Partition, k: int) -> QtPolynomial:
+    if len(mu) > k:
+        return QtPolynomial.zero()
+    stats = [diagram_stats(mu, x) for x in cells(mu)]
+    return times_t_numbers(
+        QtPolynomial.monomial(1, 0, n_stat(mu)),
+        [k * (s.coarm + 1) - s.coleg for s in stats],
+    )
+
+
+def _column_quotient(
+    lam: Partition, hook_form: QtPolynomial | None, k: int
+) -> QtPolynomial:
+    # hook_form is K(lambda, 1^n)(t); it is only read when lambda_1 <= k
+    if lam and lam[0] > k:
+        return QtPolynomial.zero()
+    stats = [diagram_stats(lam, x) for x in cells(lam)]
+    return times_t_numbers(hook_form, [k - s.content for s in stats])
+
+
 def fast_row_quotient(n: int, mu: Partition, k: int) -> QtPolynomial:
     """Quotient for lambda = (n): t^n(mu) prod [k(coarm+1)-coleg]_t, or 0."""
     mu = partition(mu)
@@ -74,13 +94,7 @@ def fast_row_quotient(n: int, mu: Partition, k: int) -> QtPolynomial:
         raise DomainError(f"|{mu}| != {n}")
     if k < 0:
         raise DomainError(f"negative substitution power {k}")
-    if len(mu) > k:
-        return QtPolynomial.zero()
-    result = QtPolynomial.monomial(1, 0, n_stat(mu))
-    for x in cells(mu):
-        s = diagram_stats(mu, x)
-        result = times_t_number(result, k * (s.coarm + 1) - s.coleg)
-    return result
+    return _row_quotient(mu, k)
 
 
 def fast_column_quotient(lam: Partition, n: int, k: int) -> QtPolynomial:
@@ -90,13 +104,8 @@ def fast_column_quotient(lam: Partition, n: int, k: int) -> QtPolynomial:
         raise DomainError(f"|{lam}| != {n}")
     if k < 0:
         raise DomainError(f"negative substitution power {k}")
-    if lam and lam[0] > k:
-        return QtPolynomial.zero()
-    result = kostka_foulkes_hook_form(lam)
-    for x in cells(lam):
-        s = diagram_stats(lam, x)
-        result = times_t_number(result, k - s.content)
-    return result
+    hook_form = None if lam and lam[0] > k else kostka_foulkes_hook_form(lam)
+    return _column_quotient(lam, hook_form, k)
 
 
 def _coverage(lam: Partition, mu: Partition) -> str:
@@ -110,60 +119,84 @@ def _coverage(lam: Partition, mu: Partition) -> str:
     return COVERAGE_CONJECTURE
 
 
+def _divide_at(
+    value: QtPolynomial, k: int, n: int
+) -> tuple[QtPolynomial | None, bool]:
+    """value(q := t^k) / (1-t)^n, and whether that division is exact."""
+    result = divide_by_one_minus_t_power(value.substitute_q_power(k), n)
+    return result.quotient, result.exact
+
+
 def generic_quotient(
     lam: Partition, mu: Partition, k: int
 ) -> tuple[QtPolynomial | None, bool]:
     """Pipeline route: reduction tree with k_coeff leaves, then divide."""
-    tree = decompose_irreducible(lam, mu)
-    substituted = tree.replay().substitute_q_power(k)
-    result = divide_by_one_minus_t_power(substituted, sum(lam))
-    return result.quotient, result.exact
+    return _divide_at(decompose_irreducible(lam, mu).replay(), k, sum(lam))
 
 
-def check_pair(lam: Partition, mu: Partition, k: int) -> HaglundVerdict:
-    """Verdict for one pair, via the cheapest applicable route."""
+def pair_verdicts(
+    lam: Partition, mu: Partition, ks: Iterable[int]
+) -> list[HaglundVerdict]:
+    """Verdicts for one pair at each k of ks, in order.
+
+    The route, the coverage tag and the bivariate value do not depend on
+    k, so they are found once for the pair.
+    """
     lam = partition(lam)
     mu = partition(mu)
+    ks = list(ks)
     if sum(lam) != sum(mu):
         raise DomainError(f"|{lam}| != |{mu}|")
-    if k < 0:
-        raise DomainError(f"negative substitution power {k}")
+    for k in ks:
+        if k < 0:
+            raise DomainError(f"negative substitution power {k}")
     if not dominance_leq(mu, lam):
         # K2 vanishes above the diagonal, so the quotient is identically 0
-        return HaglundVerdict(
-            lam, mu, k, QtPolynomial.zero(), True, True, True,
-            COVERAGE_CONJECTURE, "dominance_zero",
-        )
+        return [
+            HaglundVerdict(
+                lam, mu, k, QtPolynomial.zero(), True, True, True,
+                COVERAGE_CONJECTURE, "dominance_zero",
+            )
+            for k in ks
+        ]
     n = sum(lam)
     if len(lam) <= 1:
-        quotient, exact = fast_row_quotient(n, mu, k), True
         route = "closed_row"
+        quotients = [(_row_quotient(mu, k), True) for k in ks]
     elif mu == (1,) * n:
-        quotient, exact = fast_column_quotient(lam, n, k), True
         route = "closed_column"
+        hook_form = (
+            kostka_foulkes_hook_form(lam) if any(lam[0] <= k for k in ks) else None
+        )
+        quotients = [(_column_quotient(lam, hook_form, k), True) for k in ks]
     else:
         value = fast_k(lam, mu)
         if value is not None:
             route = "mult_one_tree"
-            result = divide_by_one_minus_t_power(
-                value.substitute_q_power(k), n
-            )
-            quotient, exact = result.quotient, result.exact
         else:
             route = "reduction_pipeline"
-            quotient, exact = generic_quotient(lam, mu, k)
-    nonneg = exact and is_nonneg_polynomial(quotient)
-    return HaglundVerdict(
-        lam=lam,
-        mu=mu,
-        k=k,
-        quotient=quotient,
-        is_polynomial=exact,
-        is_nonnegative=nonneg,
-        is_zero=exact and quotient.is_zero,
-        coverage=_coverage(lam, mu),
-        route=route,
-    )
+            value = decompose_irreducible(lam, mu).replay()
+        quotients = [_divide_at(value, k, n) for k in ks]
+    coverage = _coverage(lam, mu)
+    return [
+        HaglundVerdict(
+            lam=lam,
+            mu=mu,
+            k=k,
+            quotient=quotient,
+            is_polynomial=exact,
+            is_nonnegative=exact and is_nonneg_polynomial(quotient),
+            is_zero=exact and quotient.is_zero,
+            coverage=coverage,
+            route=route,
+        )
+        for k, (quotient, exact) in zip(ks, quotients)
+    ]
+
+
+def check_pair(lam: Partition, mu: Partition, k: int) -> HaglundVerdict:
+    """Verdict for one pair, via the cheapest applicable route."""
+    return pair_verdicts(lam, mu, (k,))[0]
 
 
 @dataclass(frozen=True)
@@ -202,9 +235,9 @@ class ScanReport:
 def _scan_chunk(args) -> list[HaglundVerdict]:
     pairs, max_k = args
     return [
-        check_pair(lam, mu, k)
+        verdict
         for lam, mu in pairs
-        for k in range(max_k + 1)
+        for verdict in pair_verdicts(lam, mu, range(max_k + 1))
     ]
 
 
@@ -213,6 +246,8 @@ def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
     every 0 <= k <= max_k, in a deterministic order."""
     if max_n < 0 or max_k < 0:
         raise DomainError("scan bounds must be nonnegative")
+    if jobs < 0:
+        raise DomainError(f"jobs must be positive, or 0 for all cores; got {jobs}")
     pairs = [
         (lam, mu)
         for n in range(1, max_n + 1)
@@ -220,11 +255,14 @@ def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
         for mu in partitions_of(n)
         if dominance_leq(mu, lam)
     ]
-    if jobs <= 0:
+    if jobs == 0:
         jobs = os.cpu_count() or 1
     if jobs == 1 or len(pairs) < 2 * jobs:
         verdicts = _scan_chunk((pairs, max_k))
     else:
+        # imported here, so a serial scan and every other command skip it
+        from multiprocessing import get_context
+
         chunks = [(pairs[i::jobs], max_k) for i in range(jobs)]
         with get_context("fork").Pool(jobs) as pool:
             results = pool.map(_scan_chunk, chunks)

@@ -28,7 +28,7 @@ from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .macdonald import build_matrices
+from .macdonald import TriangularMatrix, k1_entry
 from .partitions import Partition, cells, diagram_stats, dominance_leq, partitions_of
 
 
@@ -178,8 +178,9 @@ class _Point:
 
 
 def pipeline_k1(n: int):
-    """The matrix the certificate checks: the pipeline's K1 at degree n."""
-    return build_matrices(n).k1
+    """The matrix the certificate checks: the pipeline's K1 at degree n,
+    built entry by entry as the bundle builds it."""
+    return TriangularMatrix.from_function(n, k1_entry)
 
 
 def _inverse_transition(n: int) -> tuple[list[list[int]], int]:

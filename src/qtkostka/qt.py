@@ -9,6 +9,8 @@ rationals is decided by cross-multiplication, never by canonical forms.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConsistencyError, DomainError, PoleError
@@ -280,11 +282,60 @@ def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
     return _wrap(quotient)
 
 
+def _t_rows(p: QtPolynomial) -> dict[int, tuple[int, list[int]]]:
+    """Split p into dense t-rows: q-exponent -> (lowest t-exponent, coefficients)."""
+    lines: dict[int, dict[int, int]] = {}
+    for (eq, et), c in p._terms.items():
+        line = lines.get(eq)
+        if line is None:
+            lines[eq] = {et: c}
+        else:
+            line[et] = c
+    rows = {}
+    for eq, line in lines.items():
+        lo = min(line)
+        row = [0] * (max(line) - lo + 1)
+        for et, c in line.items():
+            row[et - lo] = c
+        rows[eq] = (lo, row)
+    return rows
+
+
+def _from_t_rows(rows: dict[int, tuple[int, list[int]]]) -> QtPolynomial:
+    """Rebuild a polynomial from dense t-rows, dropping zero coefficients."""
+    return _wrap({
+        (eq, lo + i): c
+        for eq, (lo, row) in rows.items()
+        for i, c in enumerate(row)
+        if c
+    })
+
+
+def _window_sums(row: list[int], j: int) -> list[int]:
+    """row * [j]_t for j >= 1: the sum of each window of j entries meeting row."""
+    sums = list(accumulate(row))
+    # entry i is sums[i] - sums[i - j], sums being 0 before the row and
+    # its total after it
+    return list(map(sub, sums + [sums[-1]] * (j - 1), [0] * j + sums[:-1]))
+
+
+def times_t_numbers(p: QtPolynomial, js: Iterable[int]) -> QtPolynomial:
+    """p * [j_1]_t * [j_2]_t * ..., on dense t-rows throughout."""
+    js = list(js)
+    for j in js:
+        if j < 0:
+            raise DomainError(f"t-number needs j >= 0, got {j}")
+    if 0 in js:
+        return QtPolynomial.zero()
+    rows = _t_rows(p)
+    for j in js:
+        rows = {eq: (lo, _window_sums(row, j)) for eq, (lo, row) in rows.items()}
+    return _from_t_rows(rows)
+
+
 def times_t_number(p: QtPolynomial, j: int) -> QtPolynomial:
-    """p * [j]_t, computed as (p - t^j p) / (1 - t) without expanding [j]_t."""
-    if j < 0:
-        raise DomainError(f"t-number needs j >= 0, got {j}")
-    return exact_div_binomial(p - p * QtPolynomial.monomial(1, 0, j), 0, 1)
+    """p * [j]_t: each coefficient becomes the sum of a window of j on its t-row."""
+    return times_t_numbers(p, (j,))
 
 
 class DivisionResult(NamedTuple):
@@ -296,16 +347,19 @@ class DivisionResult(NamedTuple):
 
 
 def divide_by_one_minus_t_power(p: QtPolynomial, m: int) -> DivisionResult:
-    """Divide p by (1-t)^m exactly if possible."""
+    """Divide p by (1-t)^m exactly if possible.
+
+    (1 - t) divides a t-row exactly when its coefficients sum to 0, and
+    the quotient is then the running sum without its final (zero) total.
+    """
     if m < 0:
         raise DomainError(f"negative power {m}")
-    current = p
+    rows = _t_rows(p)
     for i in range(m):
-        nxt = exact_div_binomial(current, 0, 1)
-        if nxt is None:
+        rows = {eq: (lo, list(accumulate(row))) for eq, (lo, row) in rows.items()}
+        if any(row.pop() for _, row in rows.values()):
             return DivisionResult(None, False, i)
-        current = nxt
-    return DivisionResult(current, True, m)
+    return DivisionResult(_from_t_rows(rows), True, m)
 
 
 def is_nonneg_polynomial(p: QtPolynomial) -> bool:

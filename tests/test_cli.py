@@ -279,6 +279,20 @@ def test_unusable_scan_out_fails_before_scanning(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_negative_jobs_is_a_domain_error(capsys, monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    code, out, err = run_cli(
+        capsys, "--jobs", "-1", "scan", "--max-n", "6", "--max-k", "2"
+    )
+    assert code == 1 and out == ""
+    assert err == "domain error: jobs must be positive, or 0 for all cores; got -1\n"
+
+
 def test_failed_scan_keeps_existing_report(capsys, tmp_path, monkeypatch):
     def failing_scan(*args, **kwargs):
         raise ConsistencyError("scan failed part-way")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from qtkostka.errors import DomainError
@@ -6,6 +9,7 @@ from qtkostka.haglund import (
     COVERAGE_MULT_ONE,
     COVERAGE_ROW_OR_COL,
     check_pair,
+    pair_verdicts,
     fast_column_quotient,
     fast_row_quotient,
     generic_quotient,
@@ -110,3 +114,36 @@ def test_known_quotient_value():
     expected, exact = generic_quotient((2, 1), (1, 1, 1), 2)
     assert exact and v.quotient == expected
     assert v.quotient == T * (1 + T) ** 2 * (1 + T + T**2)
+
+
+def test_pair_verdicts_match_check_pair_per_k():
+    ks = [3, 0, 5, 1]
+    pairs = [
+        ((4,), (2, 1, 1)),  # closed_row
+        ((3, 1), (1, 1, 1, 1)),  # closed_column, hook form read for k >= 3
+        ((2, 2), (2, 1, 1)),  # mult_one_tree
+        ((4, 2), (3, 2, 1)),  # reduction_pipeline
+        ((3, 3), (4, 1, 1)),  # dominance_zero
+    ]
+    for lam, mu in pairs:
+        together = pair_verdicts(lam, mu, ks)
+        assert [v.k for v in together] == ks
+        assert together == [check_pair(lam, mu, k) for k in ks]
+    assert pair_verdicts((3, 1), (1, 1, 1, 1), [0, 1, 2])[2].is_zero
+    assert pair_verdicts((2, 1), (1, 1, 1), []) == []
+    with pytest.raises(DomainError):
+        pair_verdicts((2, 1), (1, 1, 1), [2, -1])
+
+
+# SHA-256 of json.dumps(scan(6, 24).to_obj(), sort_keys=True): 2925
+# verdicts, one per k for each pair, byte for byte as the per-k checks
+# made them
+SCAN_6_24_SHA256 = "cbe44367a42296847e5809e7c705d934e63e26725ffdc1e9f5729ed7dbf25468"
+
+
+def test_scan_golden():
+    obj = scan(6, 24).to_obj()
+    assert obj["summary"]["pairs_checked"] == 2925
+    assert obj["summary"]["violations"] == 0
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == SCAN_6_24_SHA256

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtkostka.errors import ConsistencyError, DomainError, PoleError
 from qtkostka.oracle import kronecker_point
@@ -20,6 +20,7 @@ from qtkostka.qt import (
     is_nonneg_polynomial,
     t_number,
     times_t_number,
+    times_t_numbers,
 )
 
 
@@ -39,11 +40,12 @@ def qt_polynomials(draw):
 def qt_rationals(draw):
     num = draw(qt_polynomials())
     n_factors = draw(st.integers(min_value=0, max_value=2))
+    # repeated factors, so sums must take the larger multiplicity
     factors = [
-        (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        (draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 3)))
         for _ in range(n_factors)
     ]
-    factors = [f for f in factors if f != (0, 0)]
+    factors = [f for f in factors if f[:2] != (0, 0)]
     return QtRational(num, factors)
 
 
@@ -220,6 +222,57 @@ def test_division_matches_reference_scan(p, ab, offset):
         assert got == QtPolynomial(want)
 
 
+ONE_MINUS_T = binomial_poly(0, 1)
+
+
+def _reference_one_minus_t_power(p, m):
+    # one division at a time by the general binomial kernel: the
+    # quotient, or None with the number of divisions that were exact
+    for i in range(m):
+        quotient = exact_div_binomial(p, 0, 1)
+        if quotient is None:
+            return None, i
+        p = quotient
+    return p, m
+
+
+two_row_polynomials = st.builds(
+    # a on q-rows -2..4, b moved to q-rows 5..11, each carrying its own
+    # power of (1 - t), so the stall index varies from row to row
+    lambda a, b, ra, rb: a * ONE_MINUS_T**ra + Q**7 * b * ONE_MINUS_T**rb,
+    qt_polynomials(),
+    qt_polynomials(),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+
+
+@given(two_row_polynomials, st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_one_minus_t_power_matches_binomial_chain(p, m):
+    got = divide_by_one_minus_t_power(p, m)
+    want, done = _reference_one_minus_t_power(p, m)
+    assert got.divisions_done == done
+    assert got.exact == (want is not None)
+    assert got.quotient == want
+    if want is not None:
+        assert 0 not in got.quotient._terms.values()
+
+
+@given(two_row_polynomials, st.lists(st.integers(0, 12), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_times_t_numbers_match_division_form(p, js):
+    want = p
+    for j in js:
+        # p [j]_t = (p - t^j p) / (1 - t), by the general binomial kernel
+        want = exact_div_binomial(want - want * T**j, 0, 1)
+    got = times_t_numbers(p, js)
+    assert got == want
+    assert 0 not in got._terms.values()
+    if len(js) == 1:
+        assert times_t_number(p, js[0]) == want
+
+
 @given(qt_polynomials(), st.integers(0, 30))
 @settings(max_examples=100, deadline=None)
 def test_times_t_number(p, j):
@@ -230,6 +283,8 @@ def test_times_t_number_edges():
     assert times_t_number(1 + Q, 0).is_zero
     with pytest.raises(DomainError):
         times_t_number(ONE, -1)
+    with pytest.raises(DomainError):
+        times_t_numbers(ONE, [0, -1])
 
 
 @given(
@@ -306,6 +361,7 @@ def _value(r, point):
 
 
 @given(qt_rationals(), qt_rationals())
+@example(QtRational(ONE, [(1, 1, 2)]), QtRational(ONE, [(1, 1)]))
 @settings(max_examples=40, deadline=None)
 def test_arithmetic_matches_independent_stack(a, b):
     # plain Fractions at a point where agreement proves the identity
