@@ -2,9 +2,10 @@
 
 For a pair (lambda, mu) and k >= 0 the check substitutes q := t^k into
 the integral-form coefficient, divides by (1-t)^|lambda| and inspects
-the quotient.  Route selection follows cost: multiplicity-one fast
-paths, then the row/column closed-form quotients, then the reduction
-tree with pipeline leaves; every route is cross-checked by tests.
+the quotient.  A route only chooses how the bivariate coefficient is
+found: the row/column closed forms, the multiplicity-one fast paths, or
+the reduction tree with pipeline leaves; every route then substitutes
+and divides the same way, and tests cross-check the routes.
 """
 
 from __future__ import annotations
@@ -14,23 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .macdonald import kostka_foulkes_hook_form
+from .macdonald import closed_form_column, closed_form_row
 from .partitions import (
     Partition,
-    cells,
     conjugate,
-    diagram_stats,
     dominance_leq,
-    n_stat,
     partition,
     partitions_of,
 )
-from .qt import (
-    QtPolynomial,
-    divide_by_one_minus_t_power,
-    is_nonneg_polynomial,
-    times_t_numbers,
-)
+from .qt import QtPolynomial, divide_by_one_minus_t_power, is_nonneg_polynomial
 from .reductions import decompose_irreducible, fast_k
 from .tableaux import kostka_number
 
@@ -65,47 +58,6 @@ class HaglundVerdict:
             "coverage": self.coverage,
             "route": self.route,
         }
-
-
-def _row_quotient(mu: Partition, k: int) -> QtPolynomial:
-    if len(mu) > k:
-        return QtPolynomial.zero()
-    stats = [diagram_stats(mu, x) for x in cells(mu)]
-    return times_t_numbers(
-        QtPolynomial.monomial(1, 0, n_stat(mu)),
-        [k * (s.coarm + 1) - s.coleg for s in stats],
-    )
-
-
-def _column_quotient(
-    lam: Partition, hook_form: QtPolynomial | None, k: int
-) -> QtPolynomial:
-    # hook_form is K(lambda, 1^n)(t); it is only read when lambda_1 <= k
-    if lam and lam[0] > k:
-        return QtPolynomial.zero()
-    stats = [diagram_stats(lam, x) for x in cells(lam)]
-    return times_t_numbers(hook_form, [k - s.content for s in stats])
-
-
-def fast_row_quotient(n: int, mu: Partition, k: int) -> QtPolynomial:
-    """Quotient for lambda = (n): t^n(mu) prod [k(coarm+1)-coleg]_t, or 0."""
-    mu = partition(mu)
-    if sum(mu) != n:
-        raise DomainError(f"|{mu}| != {n}")
-    if k < 0:
-        raise DomainError(f"negative substitution power {k}")
-    return _row_quotient(mu, k)
-
-
-def fast_column_quotient(lam: Partition, n: int, k: int) -> QtPolynomial:
-    """Quotient for mu = (1^n): K(lambda,1^n)(t) prod [k-content]_t, or 0."""
-    lam = partition(lam)
-    if sum(lam) != n:
-        raise DomainError(f"|{lam}| != {n}")
-    if k < 0:
-        raise DomainError(f"negative substitution power {k}")
-    hook_form = None if lam and lam[0] > k else kostka_foulkes_hook_form(lam)
-    return _column_quotient(lam, hook_form, k)
 
 
 def _coverage(lam: Partition, mu: Partition) -> str:
@@ -162,13 +114,10 @@ def pair_verdicts(
     n = sum(lam)
     if len(lam) <= 1:
         route = "closed_row"
-        quotients = [(_row_quotient(mu, k), True) for k in ks]
+        value = closed_form_row(n, mu)
     elif mu == (1,) * n:
         route = "closed_column"
-        hook_form = (
-            kostka_foulkes_hook_form(lam) if any(lam[0] <= k for k in ks) else None
-        )
-        quotients = [(_column_quotient(lam, hook_form, k), True) for k in ks]
+        value = closed_form_column(lam, n)
     else:
         value = fast_k(lam, mu)
         if value is not None:
@@ -176,7 +125,10 @@ def pair_verdicts(
         else:
             route = "reduction_pipeline"
             value = decompose_irreducible(lam, mu).replay()
-        quotients = [_divide_at(value, k, n) for k in ks]
+    # the closed forms need no case for small k: when l(mu) > k (row) or
+    # lambda_1 > k (column), one factor is 1 - q t^-k, which vanishes at
+    # q = t^k, so the value divides exactly to 0
+    quotients = [_divide_at(value, k, n) for k in ks]
     coverage = _coverage(lam, mu)
     return [
         HaglundVerdict(

@@ -302,14 +302,21 @@ def _compute_matrices(n: int) -> MatrixBundle:
     return MatrixBundle(kostka, k1, k1_inv, k2, k2_inv)
 
 
-def _load_cached(paths: list[str]) -> MatrixBundle | None:
+def _load_cached(n: int, paths: list[str]) -> MatrixBundle | None:
     if not all(os.path.exists(p) for p in paths):
         return None
     try:
         mats = []
-        for p in paths:
+        for name, p in zip(MATRIX_FIELDS, paths):
             with open(p, "r", encoding="utf-8") as fh:
-                mats.append(TriangularMatrix.from_obj(json.load(fh)))
+                obj = json.load(fh)
+            # a file written for another degree or matrix is stale; this
+            # runs before from_obj lists the partitions of the claimed degree
+            if not isinstance(obj, dict) or (
+                (obj.get("n"), obj.get("which")) != (n, name)
+            ):
+                return None
+            mats.append(TriangularMatrix.from_obj(obj))
         return MatrixBundle(*mats)
     except (DomainError, KeyError, TypeError, ValueError):
         return None  # stale, foreign or damaged cache: rebuild
@@ -357,7 +364,7 @@ def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
             os.makedirs(cache_dir, exist_ok=True)
             paths = [_cache_path(cache_dir, name, n) for name in MATRIX_FIELDS]
             if bundle is None:
-                bundle = _load_cached(paths)
+                bundle = _load_cached(n, paths)
             if bundle is None or not all(os.path.exists(p) for p in paths):
                 files = [stack.enter_context(atomic_writer(p)) for p in paths]
         if bundle is None:

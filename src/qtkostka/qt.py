@@ -10,7 +10,6 @@ rationals is decided by cross-multiplication, never by canonical forms.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConsistencyError, DomainError, PoleError
@@ -244,98 +243,66 @@ def t_number(j: int) -> QtPolynomial:
     return QtPolynomial({(0, i): 1 for i in range(j)})
 
 
-def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
-    """Exact quotient p / (1 - q^a t^b), or None if the division leaves a remainder.
+def divide_binomial_power(
+    p: QtPolynomial, a: int, b: int, m: int
+) -> tuple[QtPolynomial, int]:
+    """p / (1 - q^a t^b)^done for the largest done <= m that divides exactly.
 
     Works on Laurent polynomials.  With X = q^a t^b, p splits along the
-    lattice lines e0 + m(a, b) as p = sum_e0 q^e0_q t^e0_t f_e0(X), and
+    lattice lines e0 + j(a, b) as p = sum_e0 q^e0_q t^e0_t f_e0(X), and
     multiplying by 1 - X keeps each line to itself.  Since (1 - X) divides
     f exactly when f(1) = 0, p is divisible if and only if the coefficients
     on every line sum to 0.  The quotient on a line is then the running
-    sum of its coefficients, taken in increasing m.
+    sum of its coefficients, taken in increasing j, without its final
+    (zero) total.  Most attempts fail the first test, so it runs on the
+    sparse lines before any dense row is built.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise DomainError(f"not a binomial denominator: (1 - q^{a} t^{b})")
+    if m < 0:
+        raise DomainError(f"negative power {m}")
     # a line is keyed by its base point, the lattice point on it with
-    # 0 <= e_q < a (0 <= e_t < b when a = 0); m counts steps of (a, b)
-    lines: dict[ExponentPair, list[tuple[int, int]]] = {}
+    # 0 <= e_q < a (0 <= e_t < b when a = 0); j counts steps of (a, b)
+    lines: dict[ExponentPair, dict[int, int]] = {}
     for (eq, et), c in p._terms.items():
-        m = eq // a if a else et // b
-        base = (eq - m * a, et - m * b)
+        j = eq // a if a else et // b
+        base = (eq - j * a, et - j * b)
         line = lines.get(base)
         if line is None:
-            lines[base] = [(m, c)]
+            lines[base] = {j: c}
         else:
-            line.append((m, c))
+            line[j] = c
     for line in lines.values():
-        if sum(c for _, c in line):
-            return None
-    quotient: dict[ExponentPair, int] = {}
-    for (bq, bt), line in lines.items():
-        line.sort()
-        running = 0
-        for (m, c), (m_next, _) in zip(line, line[1:]):
-            running += c
-            if running:
-                for j in range(m, m_next):
-                    quotient[(bq + j * a, bt + j * b)] = running
-    return _wrap(quotient)
-
-
-def _t_rows(p: QtPolynomial) -> dict[int, tuple[int, list[int]]]:
-    """Split p into dense t-rows: q-exponent -> (lowest t-exponent, coefficients)."""
-    lines: dict[int, dict[int, int]] = {}
-    for (eq, et), c in p._terms.items():
-        line = lines.get(eq)
-        if line is None:
-            lines[eq] = {et: c}
-        else:
-            line[et] = c
-    rows = {}
-    for eq, line in lines.items():
+        if sum(line.values()):
+            return p, 0
+    bases = []
+    rows = []
+    for base, line in lines.items():
         lo = min(line)
         row = [0] * (max(line) - lo + 1)
-        for et, c in line.items():
-            row[et - lo] = c
-        rows[eq] = (lo, row)
-    return rows
-
-
-def _from_t_rows(rows: dict[int, tuple[int, list[int]]]) -> QtPolynomial:
-    """Rebuild a polynomial from dense t-rows, dropping zero coefficients."""
+        for j, c in line.items():
+            row[j - lo] = c
+        bases.append((base, lo))
+        rows.append(row)
+    done = 0
+    while done < m:
+        sums = [list(accumulate(row)) for row in rows]
+        if any(row.pop() for row in sums):
+            break
+        rows = sums
+        done += 1
     return _wrap({
-        (eq, lo + i): c
-        for eq, (lo, row) in rows.items()
-        for i, c in enumerate(row)
+        (bq + i * a, bt + i * b): c
+        for ((bq, bt), lo), row in zip(bases, rows)
+        for i, c in enumerate(row, lo)
         if c
-    })
+    }), done
 
 
-def _window_sums(row: list[int], j: int) -> list[int]:
-    """row * [j]_t for j >= 1: the sum of each window of j entries meeting row."""
-    sums = list(accumulate(row))
-    # entry i is sums[i] - sums[i - j], sums being 0 before the row and
-    # its total after it
-    return list(map(sub, sums + [sums[-1]] * (j - 1), [0] * j + sums[:-1]))
-
-
-def times_t_numbers(p: QtPolynomial, js: Iterable[int]) -> QtPolynomial:
-    """p * [j_1]_t * [j_2]_t * ..., on dense t-rows throughout."""
-    js = list(js)
-    for j in js:
-        if j < 0:
-            raise DomainError(f"t-number needs j >= 0, got {j}")
-    if 0 in js:
-        return QtPolynomial.zero()
-    rows = _t_rows(p)
-    for j in js:
-        rows = {eq: (lo, _window_sums(row, j)) for eq, (lo, row) in rows.items()}
-    return _from_t_rows(rows)
-
-
-def times_t_number(p: QtPolynomial, j: int) -> QtPolynomial:
-    """p * [j]_t: each coefficient becomes the sum of a window of j on its t-row."""
-    return times_t_numbers(p, (j,))
+def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
+    """Exact quotient p / (1 - q^a t^b), or None if the division leaves a remainder."""
+    quotient, done = divide_binomial_power(p, a, b, 1)
+    return quotient if done else None
 
 
 class DivisionResult(NamedTuple):
@@ -347,19 +314,11 @@ class DivisionResult(NamedTuple):
 
 
 def divide_by_one_minus_t_power(p: QtPolynomial, m: int) -> DivisionResult:
-    """Divide p by (1-t)^m exactly if possible.
-
-    (1 - t) divides a t-row exactly when its coefficients sum to 0, and
-    the quotient is then the running sum without its final (zero) total.
-    """
-    if m < 0:
-        raise DomainError(f"negative power {m}")
-    rows = _t_rows(p)
-    for i in range(m):
-        rows = {eq: (lo, list(accumulate(row))) for eq, (lo, row) in rows.items()}
-        if any(row.pop() for _, row in rows.values()):
-            return DivisionResult(None, False, i)
-    return DivisionResult(_from_t_rows(rows), True, m)
+    """Divide p by (1-t)^m exactly if possible."""
+    quotient, done = divide_binomial_power(p, 0, 1, m)
+    if done < m:
+        return DivisionResult(None, False, done)
+    return DivisionResult(quotient, True, m)
 
 
 def is_nonneg_polynomial(p: QtPolynomial) -> bool:
@@ -427,15 +386,9 @@ class QtRational:
             return
         remaining: list[BinomialFactor] = []
         for f in factors:
-            mult = f.multiplicity
-            while mult > 0:
-                divided = exact_div_binomial(num, f.a, f.b)
-                if divided is None:
-                    break
-                num = divided
-                mult -= 1
-            if mult:
-                remaining.append(BinomialFactor(f.a, f.b, mult))
+            num, done = divide_binomial_power(num, f.a, f.b, f.multiplicity)
+            if done < f.multiplicity:
+                remaining.append(BinomialFactor(f.a, f.b, f.multiplicity - done))
         self._num = num
         self._den = tuple(remaining)
 

@@ -10,13 +10,18 @@ from qtkostka.haglund import (
     COVERAGE_ROW_OR_COL,
     check_pair,
     pair_verdicts,
-    fast_column_quotient,
-    fast_row_quotient,
     generic_quotient,
     scan,
 )
-from qtkostka.partitions import dominance_leq, partitions_of
-from qtkostka.qt import T, t_number
+from qtkostka.partitions import (
+    cells,
+    diagram_stats,
+    dominance_leq,
+    n_stat,
+    partitions_of,
+)
+from qtkostka.qt import T, QtPolynomial, t_number
+from qtkostka.tableaux import kostka_foulkes
 
 
 def test_check_pair_examples():
@@ -33,20 +38,54 @@ def test_check_pair_examples():
         assert v.quotient == t_number(k)
 
 
-def test_fast_row_quotient_examples():
-    assert fast_row_quotient(2, (1, 1), 2) == T * (1 + T)
-    assert fast_row_quotient(3, (1, 1, 1), 2).is_zero  # l(mu) > k
-    assert fast_row_quotient(1, (1,), 0).is_zero  # l(mu) = 1 > 0
+def test_closed_row_examples():
+    assert check_pair((2,), (1, 1), 2).quotient == T * (1 + T)
+    assert check_pair((3,), (1, 1, 1), 2).is_zero  # l(mu) > k
+    assert check_pair((1,), (1,), 0).is_zero  # l(mu) = 1 > 0
     with pytest.raises(DomainError):
-        fast_row_quotient(3, (2,), 1)
+        check_pair((3,), (2,), 1)
 
 
-def test_fast_column_quotient_examples():
+def test_closed_column_examples():
     # lambda_1 > k forces a zero factor
-    assert fast_column_quotient((3, 1), 4, 2).is_zero
-    assert fast_column_quotient((2,), 2, 2) == fast_row_quotient(2, (1, 1), 2)
+    v = check_pair((3, 1), (1,) * 4, 2)
+    assert v.route == "closed_column" and v.is_zero
     # k = lambda_1 keeps every content factor positive
-    assert not fast_column_quotient((2, 2), 4, 2).is_zero
+    assert not check_pair((2, 2), (1,) * 4, 2).is_zero
+
+
+def _t_numbers(p, js):
+    # p [j_1]_t [j_2]_t ..., with [j]_t = 0 for j <= 0
+    for j in js:
+        p = p * t_number(max(j, 0))
+    return p
+
+
+def test_closed_routes_match_product_formulas():
+    # the paper's product formulas, built with multiplication alone:
+    # lambda = (n) gives t^n(mu) prod [k(a'+1) - l']_t over the cells of
+    # mu, and mu = 1^n gives K(lambda, 1^n)(t) prod [k - c]_t over the
+    # cells of lambda; at lambda = (n) both formulas give the one verdict
+    ks = range(9)
+    for n in range(1, 8):
+        ones = (1,) * n
+        for shape in partitions_of(n):
+            stats = [diagram_stats(shape, x) for x in cells(shape)]
+            hook_form = kostka_foulkes(shape, ones)
+            row = pair_verdicts((n,), shape, ks)
+            column = pair_verdicts(shape, ones, ks)
+            for k, v_row, v_column in zip(ks, row, column):
+                want_row = _t_numbers(
+                    QtPolynomial.monomial(1, 0, n_stat(shape)),
+                    [k * (s.coarm + 1) - s.coleg for s in stats],
+                )
+                want_column = _t_numbers(hook_form, [k - s.content for s in stats])
+                assert v_row.is_polynomial and v_column.is_polynomial
+                assert v_row.quotient == want_row, (shape, k)
+                assert v_column.quotient == want_column, (shape, k)
+                assert v_row.route == "closed_row"
+                if len(shape) > 1:
+                    assert v_column.route == "closed_column"
 
 
 def test_routes_agree_exhaustively():

@@ -301,6 +301,48 @@ def test_cache_truncated_file_is_repaired(tmp_path, monkeypatch):
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
 
 
+def test_cache_of_another_degree_is_rejected_and_rewritten(
+    tmp_path, monkeypatch
+):
+    build_matrices(2, cache_dir=str(tmp_path))
+    texts = _fill_cache(tmp_path, monkeypatch)
+    for name in macdonald.MATRIX_FIELDS:
+        (tmp_path / f"{name}_n3.json").write_text(texts[f"{name}_n2.json"])
+    bundle = build_matrices(3, cache_dir=str(tmp_path))
+    assert bundle.kostka.n == 3
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+
+
+def test_cache_of_another_matrix_is_rejected_and_rewritten(
+    tmp_path, monkeypatch
+):
+    texts = _fill_cache(tmp_path, monkeypatch, n=2)
+    (tmp_path / "k1_n2.json").write_text(texts["k2_n2.json"])
+    bundle = build_matrices(2, cache_dir=str(tmp_path))
+    assert bundle.k1.is_unitriangular()
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+
+
+def test_cache_claiming_a_large_degree_is_rejected_unread(
+    tmp_path, monkeypatch
+):
+    # the degree is checked before the index is compared with the
+    # partitions of the degree the file claims, which would take hours
+    texts = _fill_cache(tmp_path, monkeypatch, n=2)
+    path = tmp_path / "k_n2.json"
+    path.write_text(texts["k_n2.json"].replace('"n": 2', '"n": 200'))
+    listed = macdonald.partitions_of
+
+    def small_degrees_only(n):
+        if n > 2:
+            raise AssertionError(f"listed the partitions of {n}")
+        return listed(n)
+
+    monkeypatch.setattr(macdonald, "partitions_of", small_degrees_only)
+    build_matrices(2, cache_dir=str(tmp_path))
+    assert path.read_text() == texts["k_n2.json"]
+
+
 def test_cache_write_is_atomic(tmp_path, monkeypatch):
     # a write that fails part-way leaves the old file whole and no debris
     texts = _fill_cache(tmp_path, monkeypatch)

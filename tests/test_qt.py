@@ -14,13 +14,12 @@ from qtkostka.qt import (
     QtPolynomial,
     QtRational,
     binomial_poly,
+    divide_binomial_power,
     divide_by_one_minus_t_power,
     exact_div_binomial,
     expand_factors,
     is_nonneg_polynomial,
     t_number,
-    times_t_number,
-    times_t_numbers,
 )
 
 
@@ -222,18 +221,48 @@ def test_division_matches_reference_scan(p, ab, offset):
         assert got == QtPolynomial(want)
 
 
-ONE_MINUS_T = binomial_poly(0, 1)
-
-
-def _reference_one_minus_t_power(p, m):
-    # one division at a time by the general binomial kernel: the
-    # quotient, or None with the number of divisions that were exact
+def _reference_binomial_power(p, a, b, m):
+    # the brute-force reference, one division at a time: the quotient by
+    # the largest power <= m that divides exactly, and that power
     for i in range(m):
-        quotient = exact_div_binomial(p, 0, 1)
+        quotient = _reference_div(p, a, b)
         if quotient is None:
-            return None, i
-        p = quotient
+            return p, i
+        p = QtPolynomial(quotient)
     return p, m
+
+
+def test_divide_binomial_power_examples():
+    p = (1 + Q) * binomial_poly(1, 1) ** 2
+    assert divide_binomial_power(p, 1, 1, 3) == (1 + Q, 2)
+    assert divide_binomial_power(p, 1, 1, 1) == ((1 + Q) * binomial_poly(1, 1), 1)
+    assert divide_binomial_power(p, 1, 1, 0) == (p, 0)
+    assert divide_binomial_power(p, 2, 0, 2) == (p, 0)
+    assert divide_binomial_power(QtPolynomial.zero(), 0, 2, 4) == (0, 4)
+    with pytest.raises(DomainError):
+        divide_binomial_power(p, 1, 1, -1)
+    with pytest.raises(DomainError):
+        divide_binomial_power(p, 0, 0, 1)
+
+
+@given(
+    qt_polynomials(),
+    binomial_exponents,
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from([None, Q, -T, 1 + T]),
+)
+@settings(max_examples=300, deadline=None)
+def test_binomial_power_matches_reference_chain(p, ab, r, m, offset):
+    p = p * binomial_poly(*ab) ** r
+    if offset is not None:
+        p = p + offset
+    quotient, done = divide_binomial_power(p, *ab, m)
+    assert (quotient, done) == _reference_binomial_power(p, *ab, m)
+    assert 0 not in quotient._terms.values()
+
+
+ONE_MINUS_T = binomial_poly(0, 1)
 
 
 two_row_polynomials = st.builds(
@@ -251,40 +280,12 @@ two_row_polynomials = st.builds(
 @settings(max_examples=300, deadline=None)
 def test_one_minus_t_power_matches_binomial_chain(p, m):
     got = divide_by_one_minus_t_power(p, m)
-    want, done = _reference_one_minus_t_power(p, m)
+    want, done = _reference_binomial_power(p, 0, 1, m)
     assert got.divisions_done == done
-    assert got.exact == (want is not None)
-    assert got.quotient == want
-    if want is not None:
+    assert got.exact == (done == m)
+    assert got.quotient == (want if done == m else None)
+    if got.exact:
         assert 0 not in got.quotient._terms.values()
-
-
-@given(two_row_polynomials, st.lists(st.integers(0, 12), max_size=3))
-@settings(max_examples=300, deadline=None)
-def test_times_t_numbers_match_division_form(p, js):
-    want = p
-    for j in js:
-        # p [j]_t = (p - t^j p) / (1 - t), by the general binomial kernel
-        want = exact_div_binomial(want - want * T**j, 0, 1)
-    got = times_t_numbers(p, js)
-    assert got == want
-    assert 0 not in got._terms.values()
-    if len(js) == 1:
-        assert times_t_number(p, js[0]) == want
-
-
-@given(qt_polynomials(), st.integers(0, 30))
-@settings(max_examples=100, deadline=None)
-def test_times_t_number(p, j):
-    assert times_t_number(p, j) == p * t_number(j)
-
-
-def test_times_t_number_edges():
-    assert times_t_number(1 + Q, 0).is_zero
-    with pytest.raises(DomainError):
-        times_t_number(ONE, -1)
-    with pytest.raises(DomainError):
-        times_t_numbers(ONE, [0, -1])
 
 
 @given(
