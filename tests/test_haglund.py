@@ -159,7 +159,7 @@ def test_pair_verdicts_match_check_pair_per_k():
     ks = [3, 0, 5, 1]
     pairs = [
         ((4,), (2, 1, 1)),  # closed_row
-        ((3, 1), (1, 1, 1, 1)),  # closed_column, hook form read for k >= 3
+        ((3, 1), (1, 1, 1, 1)),  # closed_column, zero for k < 3
         ((2, 2), (2, 1, 1)),  # mult_one_tree
         ((4, 2), (3, 2, 1)),  # reduction_pipeline
         ((3, 3), (4, 1, 1)),  # dominance_zero
