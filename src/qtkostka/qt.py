@@ -117,11 +117,20 @@ class QtPolynomial:
             return _wrap({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, QtPolynomial):
             return NotImplemented
+        left, right = self._terms, other._terms
+        if len(left) == 1:
+            left, right = right, left
+        if len(right) == 1:
+            # a one-term factor shifts and scales: no two terms collide
+            ((dq, dt), k), = right.items()
+            return _wrap({(eq + dq, et + dt): c * k for (eq, et), c in left.items()})
         result: dict[ExponentPair, int] = {}
-        for (eq1, et1), c1 in self._terms.items():
-            for (eq2, et2), c2 in other._terms.items():
+        get = result.get
+        right_items = right.items()
+        for (eq1, et1), c1 in left.items():
+            for (eq2, et2), c2 in right_items:
                 e = (eq1 + eq2, et1 + et2)
-                result[e] = result.get(e, 0) + c1 * c2
+                result[e] = get(e, 0) + c1 * c2
         return QtPolynomial(result)
 
     __rmul__ = __mul__
@@ -147,6 +156,9 @@ class QtPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it too
+        if not self._terms.keys() - {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # -- substitutions -----------------------------------------------------
@@ -255,12 +267,23 @@ def divide_binomial_power(
     on every line sum to 0.  The quotient on a line is then the running
     sum of its coefficients, taken in increasing j, without its final
     (zero) total.  Most attempts fail the first test, so it runs on the
-    sparse lines before any dense row is built.
+    sparse lines before any dense row is built, and before that on the
+    buckets of the integer key b*e_q - a*e_t: each bucket is a union of
+    whole lines, so a nonzero bucket sum already proves the division
+    fails.  A zero bucket sum proves nothing when gcd(a, b) > 1, since
+    a bucket then holds several lines.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise DomainError(f"not a binomial denominator: (1 - q^{a} t^{b})")
     if m < 0:
         raise DomainError(f"negative power {m}")
+    buckets: dict[int, int] = {}
+    get = buckets.get
+    for (eq, et), c in p._terms.items():
+        key = b * eq - a * et
+        buckets[key] = get(key, 0) + c
+    if any(buckets.values()):
+        return p, 0
     # a line is keyed by its base point, the lattice point on it with
     # 0 <= e_q < a (0 <= e_t < b when a = 0); j counts steps of (a, b)
     lines: dict[ExponentPair, dict[int, int]] = {}
@@ -431,6 +454,9 @@ class QtRational:
             )
         return self._num
 
+    def _is_unit(self) -> bool:
+        return not self._den and len(self._num) == 1
+
     # -- field operations (no general division; see module docstring) ------
 
     def _den_counts(self) -> dict[tuple[int, int], int]:
@@ -440,13 +466,18 @@ class QtRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a normalised summand stays normalised over its own denominator
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         d1 = self._den_counts()
         d2 = other._den_counts()
         union = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in d1.keys() | d2.keys()}
-        lift1 = [(k[0], k[1], union[k] - d1.get(k, 0)) for k in union if union[k] > d1.get(k, 0)]
-        lift2 = [(k[0], k[1], union[k] - d2.get(k, 0)) for k in union if union[k] > d2.get(k, 0)]
-        num = self._num * expand_factors(lift1) + other._num * expand_factors(lift2)
-        return QtRational(num, [(k[0], k[1], m) for k, m in union.items()])
+        return QtRational(
+            _lift(self._num, d1, union) + _lift(other._num, d2, union),
+            [(k[0], k[1], m) for k, m in union.items()],
+        )
 
     __radd__ = __add__
 
@@ -466,6 +497,13 @@ class QtRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a unit c q^i t^j moves lattice lines onto lines and scales each
+        # line sum by c != 0, so no factor of the other (normalised)
+        # operand can start to divide: skip the cancellation attempts
+        if other._is_unit():
+            return QtRational._raw(self._num * other._num, self._den)
+        if self._is_unit():
+            return QtRational._raw(self._num * other._num, other._den)
         return QtRational(
             self._num * other._num, list(self._den) + list(other._den)
         )
@@ -543,6 +581,14 @@ class QtRational:
         if not self._den:
             return self._num.latex()
         return f"\\frac{{{self._num.latex()}}}{{{self._den_str('latex')}}}"
+
+
+def _lift(num: QtPolynomial, den: dict, union: dict) -> QtPolynomial:
+    """num times the binomials that union holds beyond den, one at a time."""
+    for (a, b), mult in union.items():
+        for _ in range(mult - den.get((a, b), 0)):
+            num = num * binomial_poly(a, b)
+    return num
 
 
 def _coerce(value) -> QtRational:

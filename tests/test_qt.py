@@ -58,6 +58,15 @@ def test_polynomial_basics():
     assert Q**3 == QtPolynomial.monomial(1, 3, 0)
 
 
+def test_constant_polynomials_hash_like_ints():
+    for n in (0, 5, -3, 12345678901234567890):
+        p = QtPolynomial.from_int(n)
+        assert p == n and hash(p) == hash(n)
+        assert len({n, p}) == 1
+    assert len({0, QtPolynomial.zero(), Q - Q}) == 1
+    assert hash(Q) != hash(1)
+
+
 def test_exact_division_by_binomial():
     # (1 - q^2) / (1 - q) = 1 + q
     assert exact_div_binomial(binomial_poly(2, 0), 1, 0) == 1 + Q
@@ -168,6 +177,50 @@ def test_normalization_idempotent(r):
     assert again.num == r.num and again.den == r.den
 
 
+units = st.builds(
+    lambda c, eq, et: QtRational(QtPolynomial.monomial(c, eq, et)),
+    st.integers(-5, 5).filter(bool),
+    st.integers(-2, 4),
+    st.integers(-2, 4),
+)
+
+
+def _sum_by_expanded_lifts(x, y):
+    # the sum with no shortcut: each numerator times the expanded product
+    # of the factors it lacks, then full greedy cancellation
+    d1 = {(f.a, f.b): f.multiplicity for f in x.den}
+    d2 = {(f.a, f.b): f.multiplicity for f in y.den}
+    union = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in d1.keys() | d2.keys()}
+    lift1 = [(*k, m - d1.get(k, 0)) for k, m in union.items() if m > d1.get(k, 0)]
+    lift2 = [(*k, m - d2.get(k, 0)) for k, m in union.items() if m > d2.get(k, 0)]
+    num = x.num * expand_factors(lift1) + y.num * expand_factors(lift2)
+    return QtRational(num, [(*k, m) for k, m in union.items()])
+
+
+def _coerce_num(unit):
+    return unit.num if isinstance(unit, QtRational) else QtPolynomial.from_int(unit)
+
+
+@given(qt_rationals(), qt_rationals(), units, st.integers(-5, 5).filter(bool))
+@example(QtRational(ONE, [(1, 1, 2)]), QtRational(ONE, [(1, 1)]), QtRational(T), 1)
+@example(QtRational(ONE, [(1, 0)]), QtRational(1 - Q), QtRational(-Q), -1)
+@settings(max_examples=200, deadline=None)
+def test_fast_paths_keep_the_normal_form(x, y, u, n):
+    # every shortcut in + and * stores exactly the (num, den) that full
+    # greedy cancellation stores
+    for unit in (u, n):
+        by_cancellation = QtRational(x.num * _coerce_num(unit), x.den).to_obj()
+        assert (x * unit).to_obj() == by_cancellation
+        assert (unit * x).to_obj() == by_cancellation
+    zero = QtRational(QtPolynomial.zero())
+    for z in (0, QtPolynomial.zero(), zero):
+        assert (x + z).to_obj() == x.to_obj()
+        assert (z + x).to_obj() == x.to_obj()
+    assert (x * y).to_obj() == QtRational(x.num * y.num, x.den + y.den).to_obj()
+    assert (x + y).to_obj() == _sum_by_expanded_lifts(x, y).to_obj()
+    assert (x - y).to_obj() == _sum_by_expanded_lifts(x, -y).to_obj()
+
+
 binomial_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
     lambda e: e != (0, 0)
 )
@@ -239,6 +292,11 @@ def test_divide_binomial_power_examples():
     assert divide_binomial_power(p, 1, 1, 0) == (p, 0)
     assert divide_binomial_power(p, 2, 0, 2) == (p, 0)
     assert divide_binomial_power(QtPolynomial.zero(), 0, 2, 4) == (0, 4)
+    # one key b*e_q - a*e_t holds two lines when gcd(a, b) > 1: the bucket
+    # sums to 0 but the lines to +-1, so the division must still fail
+    assert divide_binomial_power(1 - Q, 2, 0, 1) == (1 - Q, 0)
+    assert divide_binomial_power(1 - T, 0, 2, 1) == (1 - T, 0)
+    assert divide_binomial_power(1 - Q**2, 2, 0, 1) == (ONE, 1)
     with pytest.raises(DomainError):
         divide_binomial_power(p, 1, 1, -1)
     with pytest.raises(DomainError):
