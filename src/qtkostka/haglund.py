@@ -23,7 +23,7 @@ from .partitions import (
     partition,
     partitions_of,
 )
-from .qt import QtPolynomial, divide_by_one_minus_t_power, is_nonneg_polynomial
+from .qt import QtPolynomial, divide_at_q_power
 from .reductions import decompose_irreducible, fast_k
 from .tableaux import kostka_number
 
@@ -71,19 +71,13 @@ def _coverage(lam: Partition, mu: Partition) -> str:
     return COVERAGE_CONJECTURE
 
 
-def _divide_at(
-    value: QtPolynomial, k: int, n: int
-) -> tuple[QtPolynomial | None, bool]:
-    """value(q := t^k) / (1-t)^n, and whether that division is exact."""
-    result = divide_by_one_minus_t_power(value.substitute_q_power(k), n)
-    return result.quotient, result.exact
-
-
 def generic_quotient(
     lam: Partition, mu: Partition, k: int
 ) -> tuple[QtPolynomial | None, bool]:
     """Pipeline route: reduction tree with k_coeff leaves, then divide."""
-    return _divide_at(decompose_irreducible(lam, mu).replay(), k, sum(lam))
+    value = decompose_irreducible(lam, mu).replay()
+    result = divide_at_q_power(value, k, sum(lam))
+    return result.quotient, result.exact
 
 
 def pair_verdicts(
@@ -128,21 +122,21 @@ def pair_verdicts(
     # the closed forms need no case for small k: when l(mu) > k (row) or
     # lambda_1 > k (column), one factor is 1 - q t^-k, which vanishes at
     # q = t^k, so the value divides exactly to 0
-    quotients = [_divide_at(value, k, n) for k in ks]
+    results = [divide_at_q_power(value, k, n) for k in ks]
     coverage = _coverage(lam, mu)
     return [
         HaglundVerdict(
             lam=lam,
             mu=mu,
             k=k,
-            quotient=quotient,
-            is_polynomial=exact,
-            is_nonnegative=exact and is_nonneg_polynomial(quotient),
-            is_zero=exact and quotient.is_zero,
+            quotient=r.quotient,
+            is_polynomial=r.exact,
+            is_nonnegative=r.nonnegative,
+            is_zero=r.exact and r.quotient.is_zero,
             coverage=coverage,
             route=route,
         )
-        for k, (quotient, exact) in zip(ks, quotients)
+        for k, r in zip(ks, results)
     ]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from functools import cache
 from typing import Callable, Iterator, NamedTuple, TextIO
@@ -291,14 +292,21 @@ def _cache_path(cache_dir: str, name: str, n: int) -> str:
 _memory_cache: dict[int, MatrixBundle] = {}
 
 
-def _compute_matrices(n: int) -> MatrixBundle:
+@cache
+def _kostka_matrices(n: int) -> tuple[TriangularMatrix, TriangularMatrix]:
+    """The integer Kostka matrix of degree n and its inverse."""
     kostka = TriangularMatrix.from_function(
         n, lambda lam, mu: QtRational(kostka_number(lam, mu))
     )
+    return kostka, kostka.inverse()
+
+
+def _compute_matrices(n: int) -> MatrixBundle:
+    kostka, kostka_inv = _kostka_matrices(n)
     k1 = TriangularMatrix.from_function(n, k1_entry)
     k1_inv = k1.inverse()
     k2 = kostka @ k1_inv
-    k2_inv = k1 @ kostka.inverse()
+    k2_inv = k1 @ kostka_inv
     return MatrixBundle(kostka, k1, k1_inv, k2, k2_inv)
 
 
@@ -378,30 +386,6 @@ def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
 # -- integral form coefficients ----------------------------------------------
 
 
-def _dominance_interval(mu: Partition, lam: Partition) -> list[Partition]:
-    """Partitions rho with mu <= rho <= lam in dominance, descending lex."""
-    return [
-        rho
-        for rho in partitions_of(sum(lam))
-        if dominance_leq(mu, rho) and dominance_leq(rho, lam)
-    ]
-
-
-@cache
-def _k1_inverse_entry(nu: Partition, mu: Partition) -> QtRational:
-    """K1^-1(nu, mu) by forward substitution of K1 X = e_mu on [mu, nu]."""
-    if nu == mu:
-        return QtRational(1)
-    acc = QtRational(0)
-    for rho in _dominance_interval(mu, nu):
-        if rho == nu:
-            continue
-        weight = k1_entry(nu, rho)
-        if not weight.is_zero:
-            acc = acc + weight * _k1_inverse_entry(rho, mu)
-    return -acc
-
-
 def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
     """k(lambda, mu) = K2 entry times c'_mu, normalized to a polynomial."""
     return _k_coeff(partition(lam), partition(mu))
@@ -409,15 +393,30 @@ def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
 
 @cache
 def _k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
-    # K2 = K K1^-1 and both factors are dominance-triangular, so only the
-    # interval [mu, lam] contributes, and k vanishes unless mu <= lam
-    if not dominance_leq(mu, lam):
-        return QtPolynomial.zero()
-    k2 = QtRational(0)
-    for nu in _dominance_interval(mu, lam):
-        k2 = k2 + kostka_number(lam, nu) * _k1_inverse_entry(nu, mu)
-    value = k2 * QtRational(expand_factors(c_prime_factors(mu)))
-    return value.as_polynomial()
+    # Duality, omega_{q,t} P_lam(q,t) = Q_lam'(t,q) (Macdonald VI (5.1)),
+    # makes k(lam, mu)(q,t) the Schur coefficient <J_mu', s_lam'> at (t,q):
+    # sum over nu of J(mu', nu) = c_mu' K1(mu', nu), an integer polynomial,
+    # times the integer K^-1(nu, lam').  Both are triangular in dominance,
+    # so only lam' <= nu <= mu' counts, and k vanishes unless mu <= lam.
+    lam_c, mu_c = conjugate(lam), conjugate(mu)
+    kostka_inv = _kostka_matrices(sum(lam))[1]
+    c = Counter(c_factors(mu_c))
+    total = QtPolynomial.zero()
+    for nu in kostka_inv.index:
+        weight = kostka_inv.entry(nu, lam_c).num.coefficient(0, 0)
+        if not weight or not dominance_leq(nu, mu_c):
+            continue
+        # K1 is unitriangular: the diagonal needs no K1 column
+        k1 = k1_entry(mu_c, nu) if nu != mu_c else QtRational(1)
+        # c_mu' already holds most of the entry's denominator: cancel those
+        # factors as multisets, and divide only by the ones left over
+        den = Counter({(f.a, f.b): f.multiplicity for f in k1.den})
+        num = k1.num
+        for a, b in (c - den).elements():
+            num = num * binomial_poly(a, b)
+        j = QtRational(num, (den - c).elements()).as_polynomial()
+        total = total + j * weight
+    return total.swap_qt()
 
 
 def closed_form_row(n: int, mu: Partition) -> QtPolynomial:

@@ -266,12 +266,11 @@ def divide_binomial_power(
     f exactly when f(1) = 0, p is divisible if and only if the coefficients
     on every line sum to 0.  The quotient on a line is then the running
     sum of its coefficients, taken in increasing j, without its final
-    (zero) total.  Most attempts fail the first test, so it runs on the
-    sparse lines before any dense row is built, and before that on the
-    buckets of the integer key b*e_q - a*e_t: each bucket is a union of
-    whole lines, so a nonzero bucket sum already proves the division
-    fails.  A zero bucket sum proves nothing when gcd(a, b) > 1, since
-    a bucket then holds several lines.
+    (zero) total.  Most attempts fail the first test, so it runs before
+    any line is built, on the buckets of the integer key b*e_q - a*e_t:
+    each bucket is a union of whole lines, so a nonzero bucket sum proves
+    the division fails.  When gcd(a, b) = 1 a bucket is one line; when
+    it holds several, the first dense round finds a line's nonzero total.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise DomainError(f"not a binomial denominator: (1 - q^{a} t^{b})")
@@ -295,9 +294,6 @@ def divide_binomial_power(
             lines[base] = {j: c}
         else:
             line[j] = c
-    for line in lines.values():
-        if sum(line.values()):
-            return p, 0
     bases = []
     rows = []
     for base, line in lines.items():
@@ -329,19 +325,58 @@ def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
 
 
 class DivisionResult(NamedTuple):
-    """Outcome of dividing by (1-t)^m: quotient when exact, else the stall point."""
+    """Outcome of dividing by (1-t)^m: quotient when exact, else the stall point.
+
+    ``nonnegative`` says the quotient is a polynomial with no negative
+    coefficient; it is False when the division is not exact.
+    """
 
     quotient: QtPolynomial | None
     exact: bool
     divisions_done: int
+    nonnegative: bool
+
+
+def divide_at_q_power(p: QtPolynomial, k: int, m: int) -> DivisionResult:
+    """p(q := t^k) / (1-t)^m, exactly if possible.
+
+    The substitution is folded into the build of one dense t-row at the
+    exponents k*e_q + e_t.  Each division by 1 - t replaces the row by its
+    running sums and pops the last one, the total, which must be 0.  A
+    nonzero row keeps its first nonzero entry, so it never runs empty.
+    """
+    if k < 0:
+        raise DomainError(f"q-power substitution needs k >= 0, got {k}")
+    if m < 0:
+        raise DomainError(f"negative power {m}")
+    exps = [k * eq + et for eq, et in p._terms]
+    lo = min(exps, default=0)
+    row = [0] * (max(exps, default=lo) - lo + 1)
+    for e, c in zip(exps, p._terms.values()):
+        row[e - lo] += c
+    first = next((i for i, c in enumerate(row) if c), None)
+    if first is None:
+        return DivisionResult(QtPolynomial.zero(), True, m, True)
+    del row[:first]
+    lo += first
+    for done in range(m):
+        row = list(accumulate(row))
+        if row.pop():
+            return DivisionResult(None, False, done, False)
+    return DivisionResult(
+        _wrap({(0, lo + i): c for i, c in enumerate(row) if c}),
+        True,
+        m,
+        lo >= 0 and min(row) >= 0,
+    )
 
 
 def divide_by_one_minus_t_power(p: QtPolynomial, m: int) -> DivisionResult:
-    """Divide p by (1-t)^m exactly if possible."""
+    """Divide p by (1-t)^m exactly if possible, keeping q: each q-row on its own."""
     quotient, done = divide_binomial_power(p, 0, 1, m)
     if done < m:
-        return DivisionResult(None, False, done)
-    return DivisionResult(quotient, True, m)
+        return DivisionResult(None, False, done, False)
+    return DivisionResult(quotient, True, m, is_nonneg_polynomial(quotient))
 
 
 def is_nonneg_polynomial(p: QtPolynomial) -> bool:

@@ -121,15 +121,35 @@ def test_k_coeff_examples():
 
 
 def test_k_coeff_matches_bundle():
-    # the interval solve against the full K2 = K K1^-1 of the bundle,
-    # including pairs incomparable in dominance, where k is zero
-    for n in range(8):
+    # duality against the bundle's K2 = K K1^-1, a route that shares no
+    # code with it, including pairs incomparable in dominance (k is zero)
+    for n in range(9):
         k2 = build_matrices(n).k2
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 c_prime = QtRational(expand_factors(c_prime_factors(mu)))
                 expected = (k2.entry(lam, mu) * c_prime).as_polynomial()
                 assert k_coeff(lam, mu) == expected, (lam, mu)
+
+
+def test_kostka_inverse_is_an_integer_inverse():
+    for n in range(9):
+        parts = partitions_of(n)
+        kostka_inv = macdonald._kostka_matrices(n)[1]
+        inv = []
+        for nu in parts:
+            row = []
+            for rho in parts:
+                e = kostka_inv.entry(nu, rho)
+                assert not e.den and e.num == e.num.coefficient(0, 0)
+                row.append(e.num.coefficient(0, 0))
+            inv.append(row)
+        for lam in parts:
+            for j, rho in enumerate(parts):
+                total = sum(
+                    kostka_number(lam, nu) * row[j] for nu, row in zip(parts, inv)
+                )
+                assert total == (lam == rho), (lam, rho)
 
 
 def test_k_coeff_accepts_lists():

@@ -14,6 +14,7 @@ from qtkostka.qt import (
     QtPolynomial,
     QtRational,
     binomial_poly,
+    divide_at_q_power,
     divide_binomial_power,
     divide_by_one_minus_t_power,
     exact_div_binomial,
@@ -116,14 +117,36 @@ def test_substitute_q_power():
     )
 
 
+# q t^-2 - t^-1 + 1 - t: at q := t the two lowest terms cancel
+LOWEST_CANCELS = QtPolynomial({(1, -2): 1, (0, -1): -1, (0, 0): 1, (0, 1): -1})
+
+
 def test_divide_by_one_minus_t_power():
-    res = divide_by_one_minus_t_power(1 - T**3, 1)
-    assert res.exact and res.quotient == t_number(3)
+    assert divide_at_q_power(1 - T**3, 0, 1) == (t_number(3), True, 1, True)
     p = T * (1 - T**2) * (1 - T)
-    res = divide_by_one_minus_t_power(p, 2)
-    assert res.exact and res.quotient == T * (1 + T)
-    res = divide_by_one_minus_t_power(1 + T, 1)
-    assert not res.exact and res.quotient is None and res.divisions_done == 0
+    assert divide_at_q_power(p, 0, 2) == (T * (1 + T), True, 2, True)
+    assert divide_at_q_power(1 + T, 0, 1) == (None, False, 0, False)
+    # q := t^k comes first: 1 - q is 1 - t^2 at k = 2, and 0 at k = 0
+    assert divide_at_q_power(1 - Q, 2, 1) == (1 + T, True, 1, True)
+    assert divide_at_q_power(1 - Q, 0, 3) == (0, True, 3, True)
+    assert divide_at_q_power((1 - Q) * (T - Q), 1, 2) == (0, True, 2, True)
+    # a negative exponent or coefficient is not nonnegative, but terms
+    # that cancel under the substitution are no exponent at all
+    t_inv = QtPolynomial.monomial(1, 0, -1)
+    assert divide_at_q_power(t_inv - T**2, 0, 1) == (
+        t_inv + 1 + T, True, 1, False
+    )
+    assert divide_at_q_power(T - 1, 0, 1) == (-ONE, True, 1, False)
+    p = LOWEST_CANCELS
+    assert divide_at_q_power(p, 1, 1) == (ONE, True, 1, True)
+    with pytest.raises(DomainError):
+        divide_at_q_power(p, -1, 1)
+    with pytest.raises(DomainError):
+        divide_at_q_power(p, 0, -1)
+    # the bivariate division keeps q: each q-row is divided on its own
+    got = divide_by_one_minus_t_power(Q * (1 - T) + 1 - T**2, 1)
+    assert got == (Q + 1 + T, True, 1, True)
+    assert divide_by_one_minus_t_power(Q + T, 1) == (None, False, 0, False)
 
 
 def test_is_nonneg_polynomial():
@@ -334,16 +357,22 @@ two_row_polynomials = st.builds(
 )
 
 
-@given(two_row_polynomials, st.integers(0, 4))
+@given(two_row_polynomials, st.integers(0, 4), st.integers(0, 4))
+@example(QtPolynomial.zero(), 2, 3)
+@example(Q - T, 1, 2)  # every term cancels: the row is all zero
+@example(LOWEST_CANCELS, 1, 1)
 @settings(max_examples=300, deadline=None)
-def test_one_minus_t_power_matches_binomial_chain(p, m):
-    got = divide_by_one_minus_t_power(p, m)
-    want, done = _reference_binomial_power(p, 0, 1, m)
+def test_one_minus_t_power_matches_binomial_chain(p, k, m):
+    got = divide_at_q_power(p, k, m)
+    want, done = _reference_binomial_power(p.substitute_q_power(k), 0, 1, m)
     assert got.divisions_done == done
     assert got.exact == (done == m)
     assert got.quotient == (want if done == m else None)
     if got.exact:
         assert 0 not in got.quotient._terms.values()
+        assert got.nonnegative == is_nonneg_polynomial(got.quotient)
+    else:
+        assert not got.nonnegative
 
 
 @given(
