@@ -14,7 +14,7 @@ import sys
 
 from .errors import ConsistencyError, DomainError
 from .haglund import check_pair, scan
-from .macdonald import MATRIX_FIELDS, atomic_writer, build_matrices, k_coeff
+from .macdonald import MATRIX_FIELDS, atomic_writer, k_coeff, read_matrix
 from .partitions import Partition, partition
 from .reductions import classify_bz, decompose_irreducible, f_stat, f_stat_closed
 
@@ -82,8 +82,7 @@ def _cmd_kcoeff(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    bundle = build_matrices(args.n, cache_dir=_cache_dir(args))
-    mat = getattr(bundle, MATRIX_FIELDS[args.which])
+    mat = read_matrix(args.n, args.which, _cache_dir(args))
     if args.format == "latex":
         sys.stdout.write(mat.latex() + "\n")
     elif args.format == "pretty":

@@ -11,8 +11,7 @@ and divides the same way, and tests cross-check the routes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 from .macdonald import closed_form_column, closed_form_row
@@ -32,8 +31,7 @@ COVERAGE_ROW_OR_COL = "theorem_row_or_col"
 COVERAGE_CONJECTURE = "conjecture_only"
 
 
-@dataclass(frozen=True)
-class HaglundVerdict:
+class HaglundVerdict(NamedTuple):
     """Outcome of one (lambda, mu, k) positivity check."""
 
     lam: Partition
@@ -145,8 +143,7 @@ def check_pair(lam: Partition, mu: Partition, k: int) -> HaglundVerdict:
     return pair_verdicts(lam, mu, (k,))[0]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     max_n: int
     max_k: int
     verdicts: tuple[HaglundVerdict, ...]

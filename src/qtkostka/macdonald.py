@@ -310,24 +310,33 @@ def _compute_matrices(n: int) -> MatrixBundle:
     return MatrixBundle(kostka, k1, k1_inv, k2, k2_inv)
 
 
-def _load_cached(n: int, paths: list[str]) -> MatrixBundle | None:
-    if not all(os.path.exists(p) for p in paths):
+def _load_matrix(n: int, which: str, path: str) -> TriangularMatrix | None:
+    """The matrix ``which`` of degree n from its cache file, or None when
+    the file is missing, stale, foreign or damaged."""
+    if not os.path.exists(path):
         return None
     try:
-        mats = []
-        for name, p in zip(MATRIX_FIELDS, paths):
-            with open(p, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            # a file written for another degree or matrix is stale; this
-            # runs before from_obj lists the partitions of the claimed degree
-            if not isinstance(obj, dict) or (
-                (obj.get("n"), obj.get("which")) != (n, name)
-            ):
-                return None
-            mats.append(TriangularMatrix.from_obj(obj))
-        return MatrixBundle(*mats)
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        # a file written for another degree or matrix is stale; this
+        # runs before from_obj lists the partitions of the claimed degree
+        if not isinstance(obj, dict) or (
+            (obj.get("n"), obj.get("which")) != (n, which)
+        ):
+            return None
+        return TriangularMatrix.from_obj(obj)
     except (DomainError, KeyError, TypeError, ValueError):
-        return None  # stale, foreign or damaged cache: rebuild
+        return None
+
+
+def _load_cached(n: int, paths: list[str]) -> MatrixBundle | None:
+    mats = []
+    for which, path in zip(MATRIX_FIELDS, paths):
+        mat = _load_matrix(n, which, path)
+        if mat is None:
+            return None
+        mats.append(mat)
+    return MatrixBundle(*mats)
 
 
 @contextmanager
@@ -381,6 +390,20 @@ def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
         for name, fh, mat in zip(MATRIX_FIELDS, files, bundle):
             json.dump(mat.to_obj(name), fh, sort_keys=True)
     return bundle
+
+
+def read_matrix(n: int, which: str, cache_dir: str) -> TriangularMatrix:
+    """The matrix ``which`` (a key of MATRIX_FIELDS) at degree n.
+
+    A degree not in memory is served from ``which``'s cache file alone;
+    a missing or rejected file goes through build_matrices, which
+    rewrites all five.
+    """
+    if n not in _memory_cache:
+        mat = _load_matrix(n, which, _cache_path(cache_dir, which, n))
+        if mat is not None:
+            return mat
+    return getattr(build_matrices(n, cache_dir), MATRIX_FIELDS[which])
 
 
 # -- integral form coefficients ----------------------------------------------

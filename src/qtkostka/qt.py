@@ -337,6 +337,12 @@ class DivisionResult(NamedTuple):
     nonnegative: bool
 
 
+# The most t-exponents one dense row of divide_at_q_power may span.  The
+# recorded checks need at most a few thousand (degree 14 at k <= 24 about
+# 2,600); a row of 10^6 Python ints already takes tens of megabytes.
+MAX_ROW_SPAN = 10**6
+
+
 def divide_at_q_power(p: QtPolynomial, k: int, m: int) -> DivisionResult:
     """p(q := t^k) / (1-t)^m, exactly if possible.
 
@@ -344,6 +350,8 @@ def divide_at_q_power(p: QtPolynomial, k: int, m: int) -> DivisionResult:
     exponents k*e_q + e_t.  Each division by 1 - t replaces the row by its
     running sums and pops the last one, the total, which must be 0.  A
     nonzero row keeps its first nonzero entry, so it never runs empty.
+    A row spanning more than MAX_ROW_SPAN exponents is a DomainError,
+    raised before it is allocated.
     """
     if k < 0:
         raise DomainError(f"q-power substitution needs k >= 0, got {k}")
@@ -351,7 +359,12 @@ def divide_at_q_power(p: QtPolynomial, k: int, m: int) -> DivisionResult:
         raise DomainError(f"negative power {m}")
     exps = [k * eq + et for eq, et in p._terms]
     lo = min(exps, default=0)
-    row = [0] * (max(exps, default=lo) - lo + 1)
+    span = max(exps, default=lo) - lo + 1
+    if span > MAX_ROW_SPAN:
+        raise DomainError(
+            f"q := t^{k} spans {span} t-exponents, more than {MAX_ROW_SPAN}"
+        )
+    row = [0] * span
     for e, c in zip(exps, p._terms.values()):
         row[e - lo] += c
     first = next((i for i, c in enumerate(row) if c), None)

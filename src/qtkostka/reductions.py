@@ -10,8 +10,7 @@ product) and replaying the tree reproduces k(lambda, mu) exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConsistencyError, DomainError
 from .macdonald import (
@@ -45,8 +44,7 @@ from .qt import (
 # -- decomposition trees ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One node of a decomposition tree.
 
     kind is "empty" (trivial pair), "leaf" (irreducible pair),
@@ -186,8 +184,7 @@ def is_irreducible_pair(lam: Partition, mu: Partition) -> bool:
 # -- BZ multiplicity-one classification ---------------------------------------
 
 
-@dataclass(frozen=True)
-class BzClass:
+class BzClass(NamedTuple):
     """Multiplicity-one tag with its rectangle parameters when applicable."""
 
     tag: str  # row_case | rectangle_case | dual_row_case | dual_rectangle_case | not_multiplicity_one
@@ -236,8 +233,7 @@ def classify_bz(lam: Partition, mu: Partition) -> BzClass:
 # -- complementation transport -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplementTransport:
+class ComplementTransport(NamedTuple):
     """A complementary pair inside (m^n); entries transport unchanged."""
 
     lam: Partition
@@ -361,8 +357,7 @@ def f_stat_closed(mu: Partition) -> QtPolynomial:
     return total
 
 
-@dataclass(frozen=True)
-class FmuComplementCheck:
+class FmuComplementCheck(NamedTuple):
     """f_mu - f_(mu^c) inside (m^(n+1)), with the telescoped closed
     form attached when its hypotheses hold."""
 

@@ -10,7 +10,7 @@ import qtkostka
 from qtkostka import cli, macdonald
 from qtkostka.cli import dispatch
 from qtkostka.errors import ConsistencyError
-from qtkostka.macdonald import build_matrices
+from qtkostka.macdonald import MATRIX_FIELDS, build_matrices
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +89,64 @@ def test_matrix_golden(capsys, tmp_path, n, which):
     assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_SHA256[n, which]
 
 
+def _matrix_call(capsys, cache_dir, n, which):
+    return run_cli(
+        capsys, "--cache-dir", str(cache_dir), "matrix", "--n", str(n), "--which", which
+    )
+
+
+def _cold_process(monkeypatch):
+    """Forget every bundle in memory, as a fresh process has none, and fail
+    any attempt to compute one."""
+
+    def no_compute(n):
+        raise AssertionError(f"degree {n} computed instead of read")
+
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    monkeypatch.setattr(macdonald, "_compute_matrices", no_compute)
+
+
+def test_warm_matrix_call_reads_only_its_own_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    fresh = {w: _matrix_call(capsys, tmp_path, 3, w) for w in MATRIX_FIELDS}
+    _cold_process(monkeypatch)
+    for which in MATRIX_FIELDS:
+        assert _matrix_call(capsys, tmp_path, 3, which) == fresh[which]
+    # one file is no bundle, so nothing is kept in memory
+    assert macdonald._memory_cache == {}
+    # a damaged sibling is neither read nor repaired by a call for k
+    (tmp_path / "k1_n3.json").write_text("{")
+    assert _matrix_call(capsys, tmp_path, 3, "k") == fresh["k"]
+    assert (tmp_path / "k1_n3.json").read_text() == "{"
+
+
+def test_damaged_requested_file_rebuilds_all_five(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    fresh = _matrix_call(capsys, tmp_path, 3, "k2")
+    texts = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    built = []
+    compute = macdonald._compute_matrices
+    monkeypatch.setattr(
+        macdonald, "_compute_matrices", lambda n: built.append(n) or compute(n)
+    )
+    (tmp_path / "k1_n3.json").write_text("{")
+    (tmp_path / "k2_n3.json").write_text(texts["k2_n3.json"][:40])
+    assert _matrix_call(capsys, tmp_path, 3, "k2") == fresh
+    assert built == [3]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+
+
+def test_matrix_golden_from_disk(capsys, tmp_path, monkeypatch):
+    # the path every warm call takes: one cache file, no bundle in memory
+    build_matrices(6, cache_dir=str(tmp_path))
+    _cold_process(monkeypatch)
+    for which in MATRIX_FIELDS:
+        code, out, _ = _matrix_call(capsys, tmp_path, 6, which)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_SHA256[6, which]
+
+
 def test_matrix_latex(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
@@ -129,6 +187,16 @@ def test_haglund_verdict(capsys):
     assert obj["is_nonnegative"] is True
     # t + t^2
     assert obj["quotient"] == [[0, 1, "1"], [0, 2, "1"]]
+
+
+def test_haglund_oversized_k_is_a_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "haglund", "--lambda", "2", "--mu", "1,1",
+        "--k", "10000000000000000000",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("domain error: q := t^10000000000000000000 spans ")
+    assert err.count("\n") == 1
 
 
 def test_scan_to_file(capsys, tmp_path):
@@ -314,11 +382,16 @@ def test_empty_partition_argument(capsys):
     assert json.loads(out)["k"] == [[0, 0, "1"]]
 
 
-# Run the CLI in a fresh interpreter and report whether sympy got loaded;
-# an in-process check would see whatever the test session imported.
-_SYMPY_PROBE = (
-    "import sys; from qtkostka.cli import dispatch; code = dispatch(sys.argv[1:]); "
-    "print('sympy' in sys.modules, file=sys.stderr); sys.exit(code)"
+# Run the CLI in a fresh interpreter and report which of the modules it
+# must not load are new since start-up; an in-process check would see
+# whatever the test session imported.  dataclasses pulls in inspect, ast
+# and dis, which every call would pay for.
+_IMPORT_PROBE = (
+    "import sys; before = set(sys.modules); "
+    "from qtkostka.cli import dispatch; code = dispatch(sys.argv[1:]); "
+    "new = set(sys.modules) - before; "
+    "print(sorted(new & {'sympy', 'dataclasses', 'inspect'}), file=sys.stderr); "
+    "sys.exit(code)"
 )
 
 
@@ -338,13 +411,13 @@ def test_no_command_loads_sympy(tmp_path, argv):
     build_matrices(3, cache_dir=str(tmp_path))  # the matrix call reads it
     src = os.path.dirname(os.path.dirname(qtkostka.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _SYMPY_PROBE, "--cache-dir", str(tmp_path), *argv],
+        [sys.executable, "-c", _IMPORT_PROBE, "--cache-dir", str(tmp_path), *argv],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == "False"
+    assert proc.stderr.strip().splitlines()[-1] == "[]"
     if "oracle-verify" in argv:
         assert proc.stdout.splitlines()[-1] == "all degrees PASS"

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from qtkostka.errors import ConsistencyError, DomainError, PoleError
 from qtkostka.oracle import kronecker_point
 from qtkostka.qt import (
+    MAX_ROW_SPAN,
     ONE,
     Q,
     T,
@@ -147,6 +148,18 @@ def test_divide_by_one_minus_t_power():
     got = divide_by_one_minus_t_power(Q * (1 - T) + 1 - T**2, 1)
     assert got == (Q + 1 + T, True, 1, True)
     assert divide_by_one_minus_t_power(Q + T, 1) == (None, False, 0, False)
+
+
+def test_dense_row_span_is_bounded():
+    # 1 + q at q := t^k spans k + 1 exponents: the limit itself is served,
+    # one step past it (or far past it) raises before any row is built
+    k = MAX_ROW_SPAN - 1
+    assert divide_at_q_power(1 + Q, k, 0) == (
+        1 + QtPolynomial.monomial(1, 0, k), True, 0, True
+    )
+    for k in (MAX_ROW_SPAN, 10**19):
+        with pytest.raises(DomainError, match=f"more than {MAX_ROW_SPAN}"):
+            divide_at_q_power(1 + Q, k, 0)
 
 
 def test_is_nonneg_polynomial():
