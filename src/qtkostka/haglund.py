@@ -3,9 +3,10 @@
 For a pair (lambda, mu) and k >= 0 the check substitutes q := t^k into
 the integral-form coefficient, divides by (1-t)^|lambda| and inspects
 the quotient.  A route only chooses how the bivariate coefficient is
-found: the row/column closed forms, the multiplicity-one fast paths, or
-the reduction tree with pipeline leaves; every route then substitutes
-and divides the same way, and tests cross-check the routes.
+found, once per pair: the row/column closed forms, the reduction tree
+with multiplicity-one leaves, or k_coeff on the whole pair; every route
+then substitutes and divides the same way.  Tests cross-check the routes
+against generic_quotient, which replays the tree with k_coeff leaves.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
-from .macdonald import closed_form_column, closed_form_row
+from .macdonald import closed_form_column, closed_form_row, k_coeff
 from .partitions import (
     Partition,
     conjugate,
@@ -72,7 +73,7 @@ def _coverage(lam: Partition, mu: Partition) -> str:
 def generic_quotient(
     lam: Partition, mu: Partition, k: int
 ) -> tuple[QtPolynomial | None, bool]:
-    """Pipeline route: reduction tree with k_coeff leaves, then divide."""
+    """Tests' reference route: the tree replayed with k_coeff leaves."""
     value = decompose_irreducible(lam, mu).replay()
     result = divide_at_q_power(value, k, sum(lam))
     return result.quotient, result.exact
@@ -84,7 +85,7 @@ def pair_verdicts(
     """Verdicts for one pair at each k of ks, in order.
 
     The route, the coverage tag and the bivariate value do not depend on
-    k, so they are found once for the pair.
+    k, so they are found once for the pair, from at most one tree.
     """
     lam = partition(lam)
     mu = partition(mu)
@@ -116,7 +117,7 @@ def pair_verdicts(
             route = "mult_one_tree"
         else:
             route = "reduction_pipeline"
-            value = decompose_irreducible(lam, mu).replay()
+            value = k_coeff(lam, mu)
     # the closed forms need no case for small k: when l(mu) > k (row) or
     # lambda_1 > k (column), one factor is 1 - q t^-k, which vanishes at
     # q = t^k, so the value divides exactly to 0
@@ -198,8 +199,8 @@ def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
         for mu in partitions_of(n)
         if dominance_leq(mu, lam)
     ]
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
+    cores = os.cpu_count() or 1
+    jobs = min(jobs, cores) or cores  # more workers than cores only wait
     if jobs == 1 or len(pairs) < 2 * jobs:
         verdicts = _scan_chunk((pairs, max_k))
     else:

@@ -325,7 +325,8 @@ def _load_matrix(n: int, which: str, path: str) -> TriangularMatrix | None:
         ):
             return None
         return TriangularMatrix.from_obj(obj)
-    except (DomainError, KeyError, TypeError, ValueError):
+    # a deeply nested file exhausts the parser's recursion limit
+    except (DomainError, KeyError, RecursionError, TypeError, ValueError):
         return None
 
 
@@ -409,36 +410,35 @@ def read_matrix(n: int, which: str, cache_dir: str) -> TriangularMatrix:
 # -- integral form coefficients ----------------------------------------------
 
 
+@cache
+def _j_entry(mu: Partition, nu: Partition) -> QtPolynomial:
+    """J(mu, nu) = c_mu K1(mu, nu), an integer polynomial, for nu <= mu."""
+    # K1 is unitriangular: the diagonal needs no K1 column
+    k1 = k1_entry(mu, nu) if nu != mu else QtRational(1)
+    # c_mu already holds most of the entry's denominator: cancel those
+    # factors as multisets, and divide only by the ones left over
+    c = Counter(c_factors(mu))
+    den = Counter({(f.a, f.b): f.multiplicity for f in k1.den})
+    num = k1.num
+    for a, b in (c - den).elements():
+        num = num * binomial_poly(a, b)
+    return QtRational(num, (den - c).elements()).as_polynomial()
+
+
 def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
     """k(lambda, mu) = K2 entry times c'_mu, normalized to a polynomial."""
-    return _k_coeff(partition(lam), partition(mu))
-
-
-@cache
-def _k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
     # Duality, omega_{q,t} P_lam(q,t) = Q_lam'(t,q) (Macdonald VI (5.1)),
     # makes k(lam, mu)(q,t) the Schur coefficient <J_mu', s_lam'> at (t,q):
-    # sum over nu of J(mu', nu) = c_mu' K1(mu', nu), an integer polynomial,
-    # times the integer K^-1(nu, lam').  Both are triangular in dominance,
-    # so only lam' <= nu <= mu' counts, and k vanishes unless mu <= lam.
-    lam_c, mu_c = conjugate(lam), conjugate(mu)
-    kostka_inv = _kostka_matrices(sum(lam))[1]
-    c = Counter(c_factors(mu_c))
+    # sum over nu of J(mu', nu) times the integer K^-1(nu, lam').  Both
+    # are triangular in dominance, so only lam' <= nu <= mu' counts, and
+    # k vanishes unless mu <= lam.
+    lam_c, mu_c = conjugate(partition(lam)), conjugate(partition(mu))
+    kostka_inv = _kostka_matrices(sum(lam_c))[1]
     total = QtPolynomial.zero()
     for nu in kostka_inv.index:
         weight = kostka_inv.entry(nu, lam_c).num.coefficient(0, 0)
-        if not weight or not dominance_leq(nu, mu_c):
-            continue
-        # K1 is unitriangular: the diagonal needs no K1 column
-        k1 = k1_entry(mu_c, nu) if nu != mu_c else QtRational(1)
-        # c_mu' already holds most of the entry's denominator: cancel those
-        # factors as multisets, and divide only by the ones left over
-        den = Counter({(f.a, f.b): f.multiplicity for f in k1.den})
-        num = k1.num
-        for a, b in (c - den).elements():
-            num = num * binomial_poly(a, b)
-        j = QtRational(num, (den - c).elements()).as_polynomial()
-        total = total + j * weight
+        if weight and dominance_leq(nu, mu_c):
+            total = total + _j_entry(mu_c, nu) * weight
     return total.swap_qt()
 
 

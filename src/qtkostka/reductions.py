@@ -311,19 +311,16 @@ def fast_k_multiplicity_one(
 
 def fast_k(lam: Partition, mu: Partition) -> QtPolynomial | None:
     """k(lambda, mu) via the reduction tree with fast leaves, when every
-    leaf is multiplicity-one; None otherwise."""
+    leaf is multiplicity-one; None otherwise, having evaluated no leaf."""
     tree = decompose_irreducible(lam, mu)
-    evaluations: dict[tuple[Partition, Partition], QtPolynomial] = {}
-    for leaf in tree.leaves():
-        if leaf.kind == "empty":
-            continue
-        cls = classify_bz(leaf.lam, leaf.mu)
-        if not cls.is_multiplicity_one:
-            return None
-        evaluations[(leaf.lam, leaf.mu)] = fast_k_multiplicity_one(
-            leaf.lam, leaf.mu, cls
-        )
-    return tree.replay(lambda a, b: evaluations[(a, b)])
+    classes = {
+        (leaf.lam, leaf.mu): classify_bz(leaf.lam, leaf.mu)
+        for leaf in tree.leaves()
+        if leaf.kind == "leaf"
+    }
+    if not all(cls.is_multiplicity_one for cls in classes.values()):
+        return None
+    return tree.replay(lambda a, b: fast_k_multiplicity_one(a, b, classes[a, b]))
 
 
 # -- the f statistic -----------------------------------------------------------

@@ -137,6 +137,17 @@ def test_damaged_requested_file_rebuilds_all_five(capsys, tmp_path, monkeypatch)
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
 
 
+def test_deeply_nested_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    fresh = _matrix_call(capsys, tmp_path, 2, "k")
+    good = (tmp_path / "k_n2.json").read_text()
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    # too deep for the JSON parser's recursion limit
+    (tmp_path / "k_n2.json").write_text("[" * 100000)
+    assert _matrix_call(capsys, tmp_path, 2, "k") == fresh
+    assert (tmp_path / "k_n2.json").read_text() == good
+
+
 def test_matrix_golden_from_disk(capsys, tmp_path, monkeypatch):
     # the path every warm call takes: one cache file, no bundle in memory
     build_matrices(6, cache_dir=str(tmp_path))

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 
 import pytest
 
+from qtkostka import haglund, reductions
 from qtkostka.errors import DomainError
 from qtkostka.haglund import (
     COVERAGE_CONJECTURE,
@@ -21,6 +23,7 @@ from qtkostka.partitions import (
     partitions_of,
 )
 from qtkostka.qt import T, QtPolynomial, t_number
+from qtkostka.reductions import classify_bz, decompose_irreducible
 from qtkostka.tableaux import kostka_foulkes
 
 
@@ -89,16 +92,87 @@ def test_closed_routes_match_product_formulas():
 
 
 def test_routes_agree_exhaustively():
-    for n in range(1, 7):
+    # the scan's routes (closed forms, the tree with closed-form leaves,
+    # k_coeff on the whole pair) against the tree with k_coeff leaves
+    ks = range(5)
+    for n in range(1, 8):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 if not dominance_leq(mu, lam):
                     continue
-                for k in range(5):
-                    v = check_pair(lam, mu, k)
+                for k, v in zip(ks, pair_verdicts(lam, mu, ks)):
                     quotient, exact = generic_quotient(lam, mu, k)
                     assert exact == v.is_polynomial
                     assert quotient == v.quotient, (lam, mu, k, v.route)
+
+
+ROUTE_COVERAGE = {
+    "closed_row": COVERAGE_ROW_OR_COL,
+    "closed_column": COVERAGE_ROW_OR_COL,
+    "mult_one_tree": COVERAGE_MULT_ONE,
+    "reduction_pipeline": COVERAGE_CONJECTURE,
+}
+
+
+def test_route_matches_coverage():
+    # the route reads BZ shapes off the tree's leaves, the coverage tag
+    # reads K(lambda, mu) = 1 or K(mu', lambda') = 1 off the whole pair
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                if dominance_leq(mu, lam):
+                    (v,) = pair_verdicts(lam, mu, [1])
+                    assert ROUTE_COVERAGE[v.route] == v.coverage, (lam, mu)
+
+
+def test_pair_verdicts_builds_at_most_one_tree(monkeypatch):
+    built = []
+    decompose = reductions.decompose_irreducible
+
+    def counting(lam, mu):
+        built.append((tuple(lam), tuple(mu)))
+        return decompose(lam, mu)
+
+    monkeypatch.setattr(reductions, "decompose_irreducible", counting)
+    monkeypatch.setattr(haglund, "decompose_irreducible", counting)
+    routes = set()
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                if dominance_leq(mu, lam):
+                    built.clear()
+                    routes.add(pair_verdicts(lam, mu, [2])[0].route)
+                    # subtrees recurse through the same binding
+                    assert built.count((lam, mu)) <= 1, (lam, mu)
+    assert {"mult_one_tree", "reduction_pipeline"} <= routes
+
+
+def test_pipeline_pair_evaluates_no_closed_form_leaf(monkeypatch):
+    # each tree has one leaf with a BZ certificate and one without, the
+    # certified leaf first in the first tree and last in the second
+    pairs = [
+        ((5, 3, 3, 1), (4, 4, 2, 1, 1)),
+        ((5, 3, 2, 2), (4, 3, 3, 1, 1)),
+    ]
+    whole = []
+
+    def no_leaf(*args):
+        raise AssertionError(f"closed-form leaf {args[:2]} evaluated")
+
+    # k at degree 12 is slow, and only the route is under test here
+    monkeypatch.setattr(reductions, "fast_k_multiplicity_one", no_leaf)
+    monkeypatch.setattr(
+        haglund, "k_coeff", lambda lam, mu: whole.append((lam, mu)) or T
+    )
+    for lam, mu in pairs:
+        tags = [
+            classify_bz(leaf.lam, leaf.mu).is_multiplicity_one
+            for leaf in decompose_irreducible(lam, mu).leaves()
+        ]
+        assert sorted(tags) == [False, True]
+        (v,) = pair_verdicts(lam, mu, [1])
+        assert v.route == "reduction_pipeline"
+    assert whole == pairs
 
 
 def test_coverage_tags():
@@ -134,6 +208,41 @@ def test_scan_parallel_matches_serial():
     assert [v.to_obj() for v in serial.verdicts] == [
         v.to_obj() for v in parallel.verdicts
     ]
+
+
+class _SerialContext:
+    """A stand-in for a fork context whose pools map in this process."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_scan_jobs_capped_at_core_count(monkeypatch):
+    import multiprocessing
+
+    serial = scan(4, 2, jobs=1)
+    sizes = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: _SerialContext(sizes)
+    )
+    # 25 pairs: enough for a pool of 8 workers, were they not capped
+    capped = scan(4, 2, jobs=8)
+    assert sizes == [2]
+    assert json.dumps(capped.to_obj()) == json.dumps(serial.to_obj())
 
 
 def test_scan_n4_tags():
