@@ -34,7 +34,7 @@ from .qt import (
     binomial_poly,
     expand_factors,
 )
-from .tableaux import is_horizontal_strip, kostka_number, strip_chain_sums
+from .tableaux import is_horizontal_strip, kostka_number, strip_step
 
 CACHE_FORMAT_VERSION = 1
 
@@ -117,8 +117,10 @@ def _psi_cached(lam: Partition, mu: Partition) -> QtRational:
 
 @cache
 def _k1_column(mu: Partition) -> dict[Partition, QtRational]:
-    """psi-sums over all chains with content mu, for every final shape."""
-    return strip_chain_sums(mu, _psi_cached, QtRational(ONE))
+    """psi-sums over chains with content mu, by one strip step on mu[:-1]'s."""
+    if not mu:
+        return {(): QtRational(ONE)}
+    return strip_step(_k1_column(mu[:-1]), mu[-1], _psi_cached)
 
 
 def k1_entry(lam: Partition, mu: Partition) -> QtRational:

@@ -154,40 +154,38 @@ def enumerate_ssyt(shape: Partition, content: Sequence[int]) -> Iterator[Ssyt]:
     yield from grow([()], 0)
 
 
-def strip_chain_sums(
-    content: Sequence[int], weight: Callable[[Partition, Partition], _W], one: _W
+def strip_step(
+    column: dict[Partition, _W], step: int,
+    weight: Callable[[Partition, Partition], _W],
 ) -> dict[Partition, _W]:
-    """For each final shape, the sum over horizontal-strip chains with the
-    given content of the product of ``weight(bigger, smaller)`` per step.
+    """Extend each shape of ``column`` by every horizontal strip of size
+    ``step``, summing ``acc * weight(bigger, shape)`` per bigger shape.
 
-    Layered DP over intermediate shapes: chains sharing a prefix share
-    all the work.  Terms are added in a fixed order, the first one
-    stored as is, so non-canonical sums come out in the same form.
+    Terms are added in a fixed order, the first one stored as is, so
+    non-canonical sums come out in the same form.
     """
-    layer = {(): one}
-    for step in content:
-        nxt: dict[Partition, _W] = {}
-        for shape, acc in layer.items():
-            for bigger in horizontal_strip_extensions(shape, step):
-                term = acc * weight(bigger, shape)
-                if bigger in nxt:
-                    nxt[bigger] = nxt[bigger] + term
-                else:
-                    nxt[bigger] = term
-        layer = nxt
-    return layer
+    out: dict[Partition, _W] = {}
+    for shape, acc in column.items():
+        for bigger in horizontal_strip_extensions(shape, step):
+            term = acc * weight(bigger, shape)
+            out[bigger] = out[bigger] + term if bigger in out else term
+    return out
 
 
 @cache
 def _kostka_column(content: tuple[int, ...]) -> dict[Partition, int]:
-    return strip_chain_sums(content, lambda bigger, smaller: 1, 1)
+    if not content:
+        return {(): 1}
+    return strip_step(_kostka_column(content[:-1]), content[-1], lambda b, s: 1)
 
 
-@cache
-def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
+def kostka_number(shape: Partition, content: Sequence[int]) -> int:
     """Number of tableaux of the given shape and content (0 on size mismatch)."""
-    column = _kostka_column(tuple(int(c) for c in content))
-    return column.get(partition(shape), 0)
+    content = tuple(int(c) for c in content)
+    if any(c < 0 for c in content):
+        raise DomainError(f"negative content {content}")
+    # a zero part adds no strip; dropping it keeps the recursion shallow
+    return _kostka_column(tuple(c for c in content if c)).get(partition(shape), 0)
 
 
 def reading_word(tab: Ssyt) -> list[int]:

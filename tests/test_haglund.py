@@ -17,6 +17,7 @@ from qtkostka.haglund import (
 )
 from qtkostka.partitions import (
     cells,
+    conjugate,
     diagram_stats,
     dominance_leq,
     n_stat,
@@ -24,7 +25,7 @@ from qtkostka.partitions import (
 )
 from qtkostka.qt import T, QtPolynomial, t_number
 from qtkostka.reductions import classify_bz, decompose_irreducible
-from qtkostka.tableaux import kostka_foulkes
+from qtkostka.tableaux import kostka_foulkes, kostka_number
 
 
 def test_check_pair_examples():
@@ -123,6 +124,18 @@ def test_route_matches_coverage():
                 if dominance_leq(mu, lam):
                     (v,) = pair_verdicts(lam, mu, [1])
                     assert ROUTE_COVERAGE[v.route] == v.coverage, (lam, mu)
+
+
+def test_route_and_coverage_part_at_degree_ten():
+    # the tree row-splits into (3)/(2,1) and (2,1)/(1,1,1), both
+    # multiplicity one, but K = 2 both ways on the whole pair: the map
+    # above holds only to degree 9
+    lam, mu = (5, 2, 2, 1), (4, 3, 1, 1, 1)
+    assert kostka_number(lam, mu) == 2
+    assert kostka_number(conjugate(mu), conjugate(lam)) == 2
+    (v,) = pair_verdicts(lam, mu, (0,))
+    assert v.route == "mult_one_tree"
+    assert v.coverage == COVERAGE_CONJECTURE
 
 
 def test_pair_verdicts_builds_at_most_one_tree(monkeypatch):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qtkostka import macdonald
+from qtkostka import macdonald, tableaux
 from qtkostka.errors import DomainError
 from qtkostka.macdonald import (
     TriangularMatrix,
@@ -54,6 +54,29 @@ def test_k1_entry_matches_direct_psi_sum():
                         prod = prod * psi_strip(nxt, prev)
                     direct = direct + prod
                 assert k1_entry(lam, mu) == direct
+
+
+def test_columns_are_one_strip_step_on_the_prefix_column(monkeypatch):
+    # with the column of mu[:-1] cached, the column of mu calls
+    # horizontal_strip_extensions once per shape of that prefix column
+    calls = []
+    extensions = tableaux.horizontal_strip_extensions
+
+    def counting(base, strip_size, limit=None):
+        calls.append(base)
+        return extensions(base, strip_size, limit)
+
+    for column, mu in [
+        (macdonald._k1_column, (3, 2, 2, 1)),
+        (tableaux._kostka_column, (1, 3, 2, 2)),
+    ]:
+        column.cache_clear()
+        prefix = column(mu[:-1])
+        monkeypatch.setattr(tableaux, "horizontal_strip_extensions", counting)
+        calls.clear()
+        column(mu)
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(prefix), column.__name__
 
 
 def test_normalization_examples():

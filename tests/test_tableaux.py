@@ -84,6 +84,12 @@ def test_enumerate_ssyt_composition_content():
                     count = len(list(enumerate_ssyt(lam, mu)))
                     assert kostka_number(lam, mu) == count
                     assert len(brute_force_fillings(lam, mu)) == count
+    # zero parts first and last, and a long zero padding: a zero part
+    # adds no strip step, so it must not deepen the column recursion
+    for mu in [(0, 2, 1), (2, 1, 0)]:
+        for lam in partitions_of(3):
+            assert kostka_number(lam, mu) == len(list(enumerate_ssyt(lam, mu)))
+    assert kostka_number((1,), (0,) * 2000 + (1,)) == 1
 
 
 def test_ssyt_round_trip():
@@ -99,6 +105,14 @@ def test_kostka_number_examples():
     assert kostka_number((1, 1), (2,)) == 0
     assert kostka_number((2,), (1, 1, 1)) == 0  # size mismatch
     assert kostka_number((), ()) == 1
+
+
+def test_kostka_number_rejects_negative_content():
+    # the same input enumerate_ssyt rejects, not a count of 0
+    with pytest.raises(DomainError, match="negative content"):
+        kostka_number((2,), (3, -1))
+    with pytest.raises(DomainError, match="negative content"):
+        list(enumerate_ssyt((2,), (3, -1)))
 
 
 def test_kostka_number_vs_brute_force():
