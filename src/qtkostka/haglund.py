@@ -23,7 +23,13 @@ from .partitions import (
     partition,
     partitions_of,
 )
-from .qt import QtPolynomial, divide_at_q_power
+from .qt import (
+    QtPolynomial,
+    divide_at_q_power,
+    q_power_row,
+    row_nonnegative,
+    row_polynomial,
+)
 from .reductions import decompose_irreducible, fast_k
 from .tableaux import kostka_number
 
@@ -33,24 +39,48 @@ COVERAGE_CONJECTURE = "conjecture_only"
 
 
 class HaglundVerdict(NamedTuple):
-    """Outcome of one (lambda, mu, k) positivity check."""
+    """Outcome of one (lambda, mu, k) positivity check.
+
+    The quotient is kept as q_power_row gives it: the dense t-row ``row``
+    from t^lo, or None when the division is not exact.  A scan holds every
+    verdict, so a row (one pointer per term) rather than a QtPolynomial.
+    """
 
     lam: Partition
     mu: Partition
     k: int
-    quotient: QtPolynomial | None
-    is_polynomial: bool
-    is_nonnegative: bool
-    is_zero: bool
+    lo: int
+    row: tuple[int, ...] | None
     coverage: str
     route: str
 
+    @property
+    def quotient(self) -> QtPolynomial | None:
+        """The row as a QtPolynomial, built on each read; None if inexact."""
+        return None if self.row is None else row_polynomial(self.lo, self.row)
+
+    @property
+    def is_polynomial(self) -> bool:
+        return self.row is not None
+
+    @property
+    def is_nonnegative(self) -> bool:
+        return self.row is not None and row_nonnegative(self.lo, self.row)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.row == ()
+
     def to_obj(self) -> dict:
+        # t-only terms in increasing t-exponent: QtPolynomial.to_obj's order
+        quotient = None if self.row is None else [
+            [0, self.lo + i, str(c)] for i, c in enumerate(self.row) if c
+        ]
         return {
             "lambda": list(self.lam),
             "mu": list(self.mu),
             "k": self.k,
-            "quotient": None if self.quotient is None else self.quotient.to_obj(),
+            "quotient": quotient,
             "is_polynomial": self.is_polynomial,
             "is_nonnegative": self.is_nonnegative,
             "is_zero": self.is_zero,
@@ -98,10 +128,7 @@ def pair_verdicts(
     if not dominance_leq(mu, lam):
         # K2 vanishes above the diagonal, so the quotient is identically 0
         return [
-            HaglundVerdict(
-                lam, mu, k, QtPolynomial.zero(), True, True, True,
-                COVERAGE_CONJECTURE, "dominance_zero",
-            )
+            HaglundVerdict(lam, mu, k, 0, (), COVERAGE_CONJECTURE, "dominance_zero")
             for k in ks
         ]
     n = sum(lam)
@@ -118,25 +145,15 @@ def pair_verdicts(
         else:
             route = "reduction_pipeline"
             value = k_coeff(lam, mu)
+    coverage = _coverage(lam, mu)
     # the closed forms need no case for small k: when l(mu) > k (row) or
     # lambda_1 > k (column), one factor is 1 - q t^-k, which vanishes at
     # q = t^k, so the value divides exactly to 0
-    results = [divide_at_q_power(value, k, n) for k in ks]
-    coverage = _coverage(lam, mu)
-    return [
-        HaglundVerdict(
-            lam=lam,
-            mu=mu,
-            k=k,
-            quotient=r.quotient,
-            is_polynomial=r.exact,
-            is_nonnegative=r.nonnegative,
-            is_zero=r.exact and r.quotient.is_zero,
-            coverage=coverage,
-            route=route,
-        )
-        for k, r in zip(ks, results)
-    ]
+    verdicts = []
+    for k in ks:
+        lo, row, _ = q_power_row(value, k, n)
+        verdicts.append(HaglundVerdict(lam, mu, k, lo, row, coverage, route))
+    return verdicts
 
 
 def check_pair(lam: Partition, mu: Partition, k: int) -> HaglundVerdict:

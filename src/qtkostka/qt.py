@@ -337,16 +337,22 @@ class DivisionResult(NamedTuple):
     nonnegative: bool
 
 
-# The most t-exponents one dense row of divide_at_q_power may span.  The
+# The most t-exponents one dense row of q_power_row may span.  The
 # recorded checks need at most a few thousand (degree 14 at k <= 24 about
 # 2,600); a row of 10^6 Python ints already takes tens of megabytes.
 MAX_ROW_SPAN = 10**6
 
 
-def divide_at_q_power(p: QtPolynomial, k: int, m: int) -> DivisionResult:
-    """p(q := t^k) / (1-t)^m, exactly if possible.
+def q_power_row(
+    p: QtPolynomial, k: int, m: int
+) -> tuple[int, tuple[int, ...] | None, int]:
+    """p(q := t^k) / (1-t)^m as a dense t-row: (lo, row, done).
 
-    The substitution is folded into the build of one dense t-row at the
+    When the division is exact, ``row`` holds the coefficients of
+    t^lo, t^(lo+1), ... (interior zeros included), its first entry is
+    nonzero, and ``done`` is m; the zero quotient is (0, (), m).  When it
+    is not, ``row`` is None and ``done`` counts the divisions that went
+    through.  The substitution is folded into the build of the row at the
     exponents k*e_q + e_t.  Each division by 1 - t replaces the row by its
     running sums and pops the last one, the total, which must be 0.  A
     nonzero row keeps its first nonzero entry, so it never runs empty.
@@ -369,19 +375,32 @@ def divide_at_q_power(p: QtPolynomial, k: int, m: int) -> DivisionResult:
         row[e - lo] += c
     first = next((i for i, c in enumerate(row) if c), None)
     if first is None:
-        return DivisionResult(QtPolynomial.zero(), True, m, True)
+        return 0, (), m
     del row[:first]
     lo += first
     for done in range(m):
         row = list(accumulate(row))
         if row.pop():
-            return DivisionResult(None, False, done, False)
-    return DivisionResult(
-        _wrap({(0, lo + i): c for i, c in enumerate(row) if c}),
-        True,
-        m,
-        lo >= 0 and min(row) >= 0,
-    )
+            return lo, None, done
+    return lo, tuple(row), m
+
+
+def row_nonnegative(lo: int, row: tuple[int, ...]) -> bool:
+    """A q_power_row quotient has no negative exponent or coefficient."""
+    return lo >= 0 and min(row, default=0) >= 0
+
+
+def row_polynomial(lo: int, row: tuple[int, ...]) -> QtPolynomial:
+    """The QtPolynomial of a q_power_row quotient."""
+    return _wrap({(0, lo + i): c for i, c in enumerate(row) if c})
+
+
+def divide_at_q_power(p: QtPolynomial, k: int, m: int) -> DivisionResult:
+    """p(q := t^k) / (1-t)^m, exactly if possible: q_power_row as a polynomial."""
+    lo, row, done = q_power_row(p, k, m)
+    if row is None:
+        return DivisionResult(None, False, done, False)
+    return DivisionResult(row_polynomial(lo, row), True, m, row_nonnegative(lo, row))
 
 
 def divide_by_one_minus_t_power(p: QtPolynomial, m: int) -> DivisionResult:

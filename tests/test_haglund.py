@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 
 import pytest
 
@@ -23,7 +24,7 @@ from qtkostka.partitions import (
     n_stat,
     partitions_of,
 )
-from qtkostka.qt import T, QtPolynomial, t_number
+from qtkostka.qt import Q, T, QtPolynomial, divide_at_q_power, t_number
 from qtkostka.reductions import classify_bz, decompose_irreducible
 from qtkostka.tableaux import kostka_foulkes, kostka_number
 
@@ -92,19 +93,72 @@ def test_closed_routes_match_product_formulas():
                     assert v_column.route == "closed_column"
 
 
+def _assert_verdict_is_division(v, value, n):
+    # the verdict's row against the polynomial division of the same value
+    r = divide_at_q_power(value, v.k, n)
+    where = (v.lam, v.mu, v.k, v.route)
+    assert v.quotient == r.quotient, where
+    assert v.is_polynomial == r.exact, where
+    assert v.is_nonnegative == r.nonnegative, where
+    assert v.is_zero == (r.exact and r.quotient.is_zero), where
+    want = None if r.quotient is None else r.quotient.to_obj()
+    assert v.to_obj()["quotient"] == want, where
+
+
 def test_routes_agree_exhaustively():
     # the scan's routes (closed forms, the tree with closed-form leaves,
-    # k_coeff on the whole pair) against the tree with k_coeff leaves
-    ks = range(5)
+    # k_coeff on the whole pair) against the tree with k_coeff leaves,
+    # divided as a polynomial; pairs off the dominance order are 0
+    ks = range(9)
     for n in range(1, 8):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                if not dominance_leq(mu, lam):
-                    continue
-                for k, v in zip(ks, pair_verdicts(lam, mu, ks)):
-                    quotient, exact = generic_quotient(lam, mu, k)
-                    assert exact == v.is_polynomial
-                    assert quotient == v.quotient, (lam, mu, k, v.route)
+                if dominance_leq(mu, lam):
+                    value = decompose_irreducible(lam, mu).replay()
+                else:
+                    value = QtPolynomial.zero()
+                for v in pair_verdicts(lam, mu, ks):
+                    _assert_verdict_is_division(v, value, n)
+
+
+def test_verdict_rows_with_zeros_negatives_and_remainders(monkeypatch):
+    # no scan verdict to degree 6 has a zero inside its row, a negative
+    # term or a remainder, so a stubbed pipeline value supplies them
+    lam, mu = (4, 2), (3, 2, 1)
+    t_inv = QtPolynomial.monomial(1, 0, -1)
+    values = [
+        (1 - T) ** 6 * (1 + 2 * T**2),  # a zero between two terms
+        (1 - T) ** 6 * (1 + Q - T),  # 2 - t at k = 0; the top term cancels at k = 1
+        (1 - T) ** 6 * (3 + t_inv),  # a negative exponent only
+        (1 - T) ** 6 * (Q - T),  # zero at k = 1 only
+        (1 - T) ** 4 * T,  # two divisions short
+        QtPolynomial.zero(),
+    ]
+    for value in values:
+        monkeypatch.setattr(haglund, "k_coeff", lambda lam, mu: value)
+        verdicts = pair_verdicts(lam, mu, range(4))
+        assert {v.route for v in verdicts} == {"reduction_pipeline"}
+        for v in verdicts:
+            _assert_verdict_is_division(v, value, 6)
+
+
+def test_verdicts_survive_pickling():
+    # the --jobs pool sends verdicts back from its workers by pickle
+    pairs = [
+        ((4,), (2, 1, 1)),  # closed_row
+        ((3, 1), (1, 1, 1, 1)),  # closed_column
+        ((2, 2), (2, 1, 1)),  # mult_one_tree
+        ((4, 2), (3, 2, 1)),  # reduction_pipeline
+        ((3, 3), (4, 1, 1)),  # dominance_zero
+    ]
+    routes = set()
+    for lam, mu in pairs:
+        v = check_pair(lam, mu, 3)
+        routes.add(v.route)
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy == v
+        assert copy.to_obj() == v.to_obj()
+    assert len(routes) == len(pairs)
 
 
 ROUTE_COVERAGE = {
