@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .errors import ConsistencyError, DomainError
 from .haglund import check_pair, scan
@@ -137,18 +138,15 @@ def _cmd_haglund(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if not args.out:
-        report = scan(args.max_n, args.max_k, jobs=args.jobs)
-        _emit_json(report.to_obj())
-        return 0 if not report.violations else 2
     # opening --out first makes an unusable path fail before the scan,
     # and a failed scan leaves an existing report in place
-    with atomic_writer(args.out) as fh:
+    out = atomic_writer(args.out) if args.out else nullcontext(sys.stdout)
+    with out as fh:
         report = scan(args.max_n, args.max_k, jobs=args.jobs)
         obj = report.to_obj()
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _emit_json({"out": args.out, "summary": obj["summary"]})
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    if args.out:
+        _emit_json({"out": args.out, "summary": obj["summary"]})
     return 0 if not report.violations else 2
 
 

@@ -12,6 +12,7 @@ against generic_quotient, which replays the tree with k_coeff leaves.
 from __future__ import annotations
 
 import os
+from itertools import chain, starmap
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
@@ -89,17 +90,6 @@ class HaglundVerdict(NamedTuple):
         }
 
 
-def _coverage(lam: Partition, mu: Partition) -> str:
-    if len(lam) <= 1 or mu == (1,) * len(mu):
-        return COVERAGE_ROW_OR_COL
-    if (
-        kostka_number(lam, mu) == 1
-        or kostka_number(conjugate(mu), conjugate(lam)) == 1
-    ):
-        return COVERAGE_MULT_ONE
-    return COVERAGE_CONJECTURE
-
-
 def generic_quotient(
     lam: Partition, mu: Partition, k: int
 ) -> tuple[QtPolynomial | None, bool]:
@@ -133,10 +123,10 @@ def pair_verdicts(
         ]
     n = sum(lam)
     if len(lam) <= 1:
-        route = "closed_row"
+        route, coverage = "closed_row", COVERAGE_ROW_OR_COL
         value = closed_form_row(n, mu)
     elif mu == (1,) * n:
-        route = "closed_column"
+        route, coverage = "closed_column", COVERAGE_ROW_OR_COL
         value = closed_form_column(lam, n)
     else:
         value = fast_k(lam, mu)
@@ -145,7 +135,12 @@ def pair_verdicts(
         else:
             route = "reduction_pipeline"
             value = k_coeff(lam, mu)
-    coverage = _coverage(lam, mu)
+        # the paper's theorem covers K(lambda, mu) = 1 or K(mu', lambda') = 1
+        theorem = (
+            kostka_number(lam, mu) == 1
+            or kostka_number(conjugate(mu), conjugate(lam)) == 1
+        )
+        coverage = COVERAGE_MULT_ONE if theorem else COVERAGE_CONJECTURE
     # the closed forms need no case for small k: when l(mu) > k (row) or
     # lambda_1 > k (column), one factor is 1 - q t^-k, which vanishes at
     # q = t^k, so the value divides exactly to 0
@@ -193,15 +188,6 @@ class ScanReport(NamedTuple):
         }
 
 
-def _scan_chunk(args) -> list[HaglundVerdict]:
-    pairs, max_k = args
-    return [
-        verdict
-        for lam, mu in pairs
-        for verdict in pair_verdicts(lam, mu, range(max_k + 1))
-    ]
-
-
 def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
     """Verdicts for every dominance pair of each degree n <= max_n and
     every 0 <= k <= max_k, in a deterministic order."""
@@ -209,8 +195,9 @@ def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
         raise DomainError("scan bounds must be nonnegative")
     if jobs < 0:
         raise DomainError(f"jobs must be positive, or 0 for all cores; got {jobs}")
-    pairs = [
-        (lam, mu)
+    ks = range(max_k + 1)
+    args = [
+        (lam, mu, ks)
         for n in range(1, max_n + 1)
         for lam in partitions_of(n)
         for mu in partitions_of(n)
@@ -218,18 +205,14 @@ def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
     ]
     cores = os.cpu_count() or 1
     jobs = min(jobs, cores) or cores  # more workers than cores only wait
-    if jobs == 1 or len(pairs) < 2 * jobs:
-        verdicts = _scan_chunk((pairs, max_k))
+    if jobs == 1 or len(args) < 2 * jobs:
+        results = starmap(pair_verdicts, args)
     else:
         # imported here, so a serial scan and every other command skip it
         from multiprocessing import get_context
 
-        chunks = [(pairs[i::jobs], max_k) for i in range(jobs)]
+        # starmap keeps the order and deals out contiguous chunks of pairs
         with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_scan_chunk, chunks)
-        collected = [v for chunk in results for v in chunk]
-        order = {pair: i for i, pair in enumerate(pairs)}
-        verdicts = sorted(
-            collected, key=lambda v: (order[(v.lam, v.mu)], v.k)
-        )
-    return ScanReport(max_n, max_k, tuple(verdicts))
+            results = pool.starmap(pair_verdicts, args)
+    verdicts = tuple(chain.from_iterable(results))
+    return ScanReport(max_n, max_k, verdicts)

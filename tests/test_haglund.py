@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -270,11 +271,13 @@ def test_scan_empty():
 
 
 def test_scan_parallel_matches_serial():
-    serial = scan(4, 2, jobs=1)
-    parallel = scan(4, 2, jobs=2)
-    assert [v.to_obj() for v in serial.verdicts] == [
-        v.to_obj() for v in parallel.verdicts
-    ]
+    # (6, 2) gives the pool eight contiguous chunks, three spanning degrees
+    for max_n, max_k in [(4, 2), (6, 2)]:
+        serial = scan(max_n, max_k, jobs=1)
+        parallel = scan(max_n, max_k, jobs=2)
+        assert [v.to_obj() for v in serial.verdicts] == [
+            v.to_obj() for v in parallel.verdicts
+        ]
 
 
 class _SerialContext:
@@ -282,6 +285,7 @@ class _SerialContext:
 
     def __init__(self, sizes):
         self.sizes = sizes
+        self.calls = []
 
     def Pool(self, size):
         self.sizes.append(size)
@@ -293,8 +297,9 @@ class _SerialContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def starmap(self, fn, items):
+        self.calls.append(list(items))
+        return list(itertools.starmap(fn, self.calls[-1]))
 
 
 def test_scan_jobs_capped_at_core_count(monkeypatch):
@@ -310,6 +315,23 @@ def test_scan_jobs_capped_at_core_count(monkeypatch):
     capped = scan(4, 2, jobs=8)
     assert sizes == [2]
     assert json.dumps(capped.to_obj()) == json.dumps(serial.to_obj())
+
+
+def test_scan_pool_maps_each_pair_once_in_scan_order(monkeypatch):
+    import multiprocessing
+
+    serial = scan(5, 2, jobs=1)
+    context = _SerialContext([])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    pooled = scan(5, 2, jobs=2)
+    # one starmap over every pair, each with every k, in the serial order
+    (args,) = context.calls
+    assert [(lam, mu) for lam, mu, _ in args] == [
+        (v.lam, v.mu) for v in serial.verdicts if v.k == 0
+    ]
+    assert all(list(ks) == [0, 1, 2] for _, _, ks in args)
+    assert pooled == serial
 
 
 def test_scan_n4_tags():
