@@ -26,6 +26,7 @@ from .partitions import (
     n_stat,
     partition,
     partitions_of,
+    unitriangular_inverse,
 )
 from .qt import (
     ONE,
@@ -34,7 +35,7 @@ from .qt import (
     binomial_poly,
     expand_factors,
 )
-from .tableaux import is_horizontal_strip, kostka_number, strip_step
+from .tableaux import is_horizontal_strip, kostka_inverse, kostka_number, strip_step
 
 CACHE_FORMAT_VERSION = 1
 
@@ -205,24 +206,11 @@ class TriangularMatrix:
 
     def inverse(self) -> "TriangularMatrix":
         """Invert by back-substitution; the unit diagonal means no division."""
-        size = len(self.index)
-        inv = [
-            [QtRational(1 if i == j else 0) for j in range(size)]
-            for i in range(size)
-        ]
-        for i in range(size):
-            if not self.entries[i][i] == 1:
-                raise ConsistencyError("non-unit diagonal in triangular inverse")
-            for j in range(i + 1, size):
-                acc = QtRational(0)
-                for k in range(i, j):
-                    term_src = inv[i][k]
-                    m = self.entries[k][j]
-                    if term_src.is_zero or m.is_zero:
-                        continue
-                    acc = acc + term_src * m
-                inv[i][j] = -acc
-        return TriangularMatrix(self.n, inv)
+        if not all(row[i] == 1 for i, row in enumerate(self.entries)):
+            raise ConsistencyError("non-unit diagonal in triangular inverse")
+        return TriangularMatrix(
+            self.n, unitriangular_inverse(self.entries, QtRational(0))
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriangularMatrix) or self.n != other.n:
@@ -294,17 +282,13 @@ def _cache_path(cache_dir: str, name: str, n: int) -> str:
 _memory_cache: dict[int, MatrixBundle] = {}
 
 
-@cache
-def _kostka_matrices(n: int) -> tuple[TriangularMatrix, TriangularMatrix]:
-    """The integer Kostka matrix of degree n and its inverse."""
+def _compute_matrices(n: int) -> MatrixBundle:
     kostka = TriangularMatrix.from_function(
         n, lambda lam, mu: QtRational(kostka_number(lam, mu))
     )
-    return kostka, kostka.inverse()
-
-
-def _compute_matrices(n: int) -> MatrixBundle:
-    kostka, kostka_inv = _kostka_matrices(n)
+    kostka_inv = TriangularMatrix(
+        n, [[QtRational(x) for x in row] for row in kostka_inverse(n)]
+    )
     k1 = TriangularMatrix.from_function(n, k1_entry)
     k1_inv = k1.inverse()
     k2 = kostka @ k1_inv
@@ -435,10 +419,11 @@ def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
     # are triangular in dominance, so only lam' <= nu <= mu' counts, and
     # k vanishes unless mu <= lam.
     lam_c, mu_c = conjugate(partition(lam)), conjugate(partition(mu))
-    kostka_inv = _kostka_matrices(sum(lam_c))[1]
+    n = sum(lam_c)
+    column = partitions_of(n).index(lam_c)
     total = QtPolynomial.zero()
-    for nu in kostka_inv.index:
-        weight = kostka_inv.entry(nu, lam_c).num.coefficient(0, 0)
+    for nu, row in zip(partitions_of(n), kostka_inverse(n)):
+        weight = row[column]
         if weight and dominance_leq(nu, mu_c):
             total = total + _j_entry(mu_c, nu) * weight
     return total.swap_qt()

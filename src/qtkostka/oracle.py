@@ -27,9 +27,16 @@ from functools import cache
 from math import factorial, lcm, prod
 from typing import NamedTuple
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .macdonald import TriangularMatrix, k1_entry
-from .partitions import Partition, cells, diagram_stats, dominance_leq, partitions_of
+from .partitions import (
+    Partition,
+    cells,
+    diagram_stats,
+    dominance_leq,
+    partitions_of,
+    unitriangular_inverse,
+)
 
 
 def zee(lam: Partition) -> int:
@@ -41,70 +48,33 @@ def zee(lam: Partition) -> int:
     return out
 
 
-def _multiply_by_powersum(
-    f: dict[tuple[int, ...], int], k: int, nvars: int
-) -> dict[tuple[int, ...], int]:
-    # symmetric polynomials keyed by sorted exponent vectors; the stored
-    # coefficient is the raw coefficient of that monomial
-    candidates = set()
-    for w in f:
-        for i in range(nvars):
-            v = list(w)
-            v[i] += k
-            candidates.add(tuple(sorted(v, reverse=True)))
-    out: dict[tuple[int, ...], int] = {}
-    for z in candidates:
-        total = 0
-        for i in range(nvars):
-            if z[i] >= k:
-                v = list(z)
-                v[i] -= k
-                c = f.get(tuple(sorted(v, reverse=True)))
-                if c:
-                    total += c
-        if total:
-            out[z] = total
-    return out
-
-
 @cache
 def powersum_in_monomials(n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix S with S[lam][mu] = coefficient of m_mu in p_lam,
-    both indices running over the descending-lex partitions of n."""
+    """Integer matrix C with C[lam][mu] = coefficient of m_mu in p_lam,
+    both indices running over the descending-lex partitions of n.
+
+    The coefficient of x^mu in prod_i (x_1^lam_i + ... + x_n^lam_i) counts
+    the ways to place the parts of lam into bins of sizes mu.  It is 0
+    unless mu dominates lam, so C is lower triangular.
+    """
     if n < 1:
         raise DomainError(f"degree must be positive, got {n}")
+
+    @cache
+    def placements(lam: Partition, bins: Partition) -> int:
+        # the count depends only on the multiset of bin sizes
+        if not lam:
+            return 1
+        first, rest = lam[0], lam[1:]
+        total = 0
+        for j, b in enumerate(bins):
+            if b >= first:
+                left = sorted(bins[:j] + (b - first,) + bins[j + 1 :], reverse=True)
+                total += placements(rest, tuple(left))
+        return total
+
     parts = partitions_of(n)
-    rows = []
-    for lam in parts:
-        f = {(0,) * n: 1}
-        for k in lam:
-            f = _multiply_by_powersum(f, k, n)
-        rows.append(
-            tuple(f.get(tuple(mu) + (0,) * (n - len(mu)), 0) for mu in parts)
-        )
-    return tuple(rows)
-
-
-def _solve_linear(matrix: list[list], rhs_columns: list[list]) -> list[list]:
-    """Gauss-Jordan elimination over an exact field (Fractions).
-
-    Returns one solution column x with ``matrix . x = b`` per column b of
-    ``rhs_columns``.
-    """
-    size = len(matrix)
-    work = [list(matrix[i]) + [b[i] for b in rhs_columns] for i in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ConsistencyError("singular linear system")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_pivot = 1 / work[col][col]
-        work[col] = [x * inv_pivot for x in work[col]]
-        for r in range(size):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [[row[j] for row in work] for j in range(size, len(work[0]))]
+    return tuple(tuple(placements(lam, mu) for mu in parts) for lam in parts)
 
 
 def kronecker_point(bound: int, t_degree: int) -> tuple[int, int]:
@@ -187,11 +157,15 @@ def _inverse_transition(n: int) -> tuple[list[list[int]], int]:
     """(M, s): s is the lcm of the denominators of C^-1, for C the
     power-sum-to-monomial matrix, and M = s C^-1, so that
     m_mu = sum_rho M[mu][rho] p_rho / s."""
-    size = len(partitions_of(n))
-    transition = [[Fraction(x) for x in row] for row in powersum_in_monomials(n)]
-    identity = [[Fraction(int(i == j)) for i in range(size)] for j in range(size)]
-    # the columns of the inverse, transposed to rows
-    cinv = list(zip(*_solve_linear(transition, identity)))
+    c = powersum_in_monomials(n)
+    size = len(c)
+    # C is lower triangular, so A = D^-1 C^T is upper unitriangular for D
+    # the diagonal of C, and C^-1 = D^-1 X^T for X the inverse of A
+    inv = unitriangular_inverse(
+        [[Fraction(row[i], c[i][i]) for row in c] for i in range(size)],
+        Fraction(0),
+    )
+    cinv = [[row[i] / c[i][i] for row in inv] for i in range(size)]
     s = lcm(*(x.denominator for row in cinv for x in row))
     return [[int(x * s) for x in row] for row in cinv], s
 

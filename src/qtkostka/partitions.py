@@ -116,6 +116,31 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(result)
 
 
+def unitriangular_inverse(rows: list, zero):
+    """The inverse of an upper unitriangular matrix, by back-substitution.
+
+    Row i of the inverse X has X[i][j] = -sum_{k=i}^{j-1} X[i][k] rows[k][j],
+    summed over ascending k from ``zero``, a term skipped when either
+    factor is zero; the unit diagonal means no division.  Only ring
+    operations are used, so any exact entries (ints, Fractions,
+    QtRationals) work, and the fixed order fixes a non-canonical form.
+    """
+    size = len(rows)
+    one = zero + 1
+    inv = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    for i, row in enumerate(inv):
+        for j in range(i + 1, size):
+            acc = zero
+            for k in range(i, j):
+                x = row[k]
+                if x:
+                    m = rows[k][j]
+                    if m:
+                        acc = acc + x * m
+            row[j] = -acc
+    return inv
+
+
 def complement(lam: Partition, m: int, n: int) -> Partition:
     """Complement of lam inside the m-by-n rectangle (n rows of width m)."""
     if len(lam) > n or (lam and lam[0] > m):

@@ -507,6 +507,9 @@ class QtRational:
     def is_zero(self) -> bool:
         return self._num.is_zero
 
+    def __bool__(self) -> bool:
+        return not self._num.is_zero
+
     def den_expanded(self) -> QtPolynomial:
         return expand_factors(self._den)
 

@@ -12,7 +12,7 @@ from functools import cache
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import DomainError
-from .partitions import Partition, partition
+from .partitions import Partition, partition, partitions_of, unitriangular_inverse
 from .qt import QtPolynomial
 
 _W = TypeVar("_W")
@@ -186,6 +186,15 @@ def kostka_number(shape: Partition, content: Sequence[int]) -> int:
         raise DomainError(f"negative content {content}")
     # a zero part adds no strip; dropping it keeps the recursion shallow
     return _kostka_column(tuple(c for c in content if c)).get(partition(shape), 0)
+
+
+@cache
+def kostka_inverse(n: int) -> tuple[tuple[int, ...], ...]:
+    """The inverse of the integer Kostka matrix K(lam, mu) of degree n,
+    as int rows over the descending-lex partitions of n."""
+    parts = partitions_of(n)
+    kostka = [[_kostka_column(mu).get(lam, 0) for mu in parts] for lam in parts]
+    return tuple(map(tuple, unitriangular_inverse(kostka, 0)))
 
 
 def reading_word(tab: Ssyt) -> list[int]:

@@ -396,12 +396,15 @@ def test_empty_partition_argument(capsys):
 # Run the CLI in a fresh interpreter and report which of the modules it
 # must not load are new since start-up; an in-process check would see
 # whatever the test session imported.  dataclasses pulls in inspect, ast
-# and dis, which every call would pay for.
+# and dis, which every call would pay for; fractions pulls in decimal,
+# and only the oracle's power-sum inverse needs it.
 _IMPORT_PROBE = (
     "import sys; before = set(sys.modules); "
     "from qtkostka.cli import dispatch; code = dispatch(sys.argv[1:]); "
     "new = set(sys.modules) - before; "
-    "print(sorted(new & {'sympy', 'dataclasses', 'inspect'}), file=sys.stderr); "
+    "banned = {'sympy', 'dataclasses', 'inspect'}; "
+    "banned |= set() if 'oracle-verify' in sys.argv else {'fractions'}; "
+    "print(sorted(new & banned), file=sys.stderr); "
     "sys.exit(code)"
 )
 

@@ -170,10 +170,13 @@ ROUTE_COVERAGE = {
 }
 
 
-def test_route_matches_coverage():
+def test_route_matches_coverage(monkeypatch):
     # the route reads BZ shapes off the tree's leaves, the coverage tag
-    # reads K(lambda, mu) = 1 or K(mu', lambda') = 1 off the whole pair
-    for n in range(1, 8):
+    # reads K(lambda, mu) = 1 or K(mu', lambda') = 1 off the whole pair;
+    # neither reads the pipeline's value, so degrees 8 and 9 stub it
+    for n in range(1, 10):
+        if n == 8:
+            monkeypatch.setattr(haglund, "k_coeff", lambda lam, mu: QtPolynomial.zero())
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 if dominance_leq(mu, lam):

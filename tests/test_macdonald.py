@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qtkostka import macdonald, tableaux
-from qtkostka.errors import DomainError
+from qtkostka.errors import ConsistencyError, DomainError
 from qtkostka.macdonald import (
     TriangularMatrix,
     build_matrices,
@@ -20,7 +20,12 @@ from qtkostka.macdonald import (
 )
 from qtkostka.partitions import conjugate, partitions_of
 from qtkostka.qt import ONE, Q, T, QtRational, expand_factors
-from qtkostka.tableaux import enumerate_ssyt, kostka_foulkes, kostka_number
+from qtkostka.tableaux import (
+    enumerate_ssyt,
+    kostka_foulkes,
+    kostka_inverse,
+    kostka_number,
+)
 
 
 def test_psi_strip_examples():
@@ -135,6 +140,15 @@ def test_inverse_roundtrip():
         assert (b.k2 @ b.k2_inv) == TriangularMatrix.identity(n)
 
 
+@pytest.mark.parametrize("position", [0, 1])
+def test_inverse_rejects_a_non_unit_diagonal(position):
+    one, zero = QtRational(1), QtRational(0)
+    entries = [[one, QtRational(Q)], [zero, one]]
+    entries[position][position] = QtRational(1 + Q)
+    with pytest.raises(ConsistencyError, match="non-unit diagonal"):
+        TriangularMatrix(2, entries).inverse()
+
+
 def test_k_coeff_examples():
     assert k_coeff((1,), (1,)) == 1 - Q
     assert k_coeff((2,), (1, 1)) == (1 - Q) * (T - Q)
@@ -158,15 +172,8 @@ def test_k_coeff_matches_bundle():
 def test_kostka_inverse_is_an_integer_inverse():
     for n in range(9):
         parts = partitions_of(n)
-        kostka_inv = macdonald._kostka_matrices(n)[1]
-        inv = []
-        for nu in parts:
-            row = []
-            for rho in parts:
-                e = kostka_inv.entry(nu, rho)
-                assert not e.den and e.num == e.num.coefficient(0, 0)
-                row.append(e.num.coefficient(0, 0))
-            inv.append(row)
+        inv = kostka_inverse(n)
+        assert all(type(x) is int for row in inv for x in row)
         for lam in parts:
             for j, rho in enumerate(parts):
                 total = sum(

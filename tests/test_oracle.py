@@ -1,3 +1,8 @@
+import hashlib
+import json
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +66,30 @@ def test_powersum_in_monomials_small():
     assert S[parts3.index((2, 1))] == (1, 1, 0)
     assert S[parts3.index((3,))] == (1, 0, 0)
     assert S[parts3.index((1, 1, 1))] == (1, 3, 6)
+    # the monomial coefficients of prod_i (x_1^lam_i + ... + x_n^lam_i),
+    # expanded term by term: one variable chosen per part
+    for n in range(1, 7):
+        parts = partitions_of(n)
+        for lam, row in zip(parts, powersum_in_monomials(n)):
+            exponents = Counter()
+            for choice in product(range(n), repeat=len(lam)):
+                vector = [0] * n
+                for part, var in zip(lam, choice):
+                    vector[var] += part
+                exponents[tuple(vector)] += 1
+            expected = tuple(exponents[mu + (0,) * (n - len(mu))] for mu in parts)
+            assert row == expected, lam
+
+
+def test_inverse_transition_digests():
+    # s C^-1 and s, recorded from the Gauss-Jordan solve this replaced
+    digests = {
+        8: "5943a68035253b70f9db65c7187129d7e559114462636e146dbb0342e6e2d10c",
+        10: "43a87fa40244eafc05b50fab28bc7ab1574259cf16fff78e582bef08eee0a79a",
+    }
+    for n, digest in digests.items():
+        dumped = json.dumps(oracle._inverse_transition(n)).encode()
+        assert hashlib.sha256(dumped).hexdigest() == digest, n
 
 
 def test_gram_schmidt_degree_one_and_two(substitute_k1):

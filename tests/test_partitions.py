@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qtkostka.errors import DomainError
 from qtkostka.partitions import (
@@ -12,6 +14,7 @@ from qtkostka.partitions import (
     partitions_of,
     split_rows,
     subtract_rectangle,
+    unitriangular_inverse,
 )
 
 
@@ -137,3 +140,38 @@ def test_split_then_concatenate(lam, r):
         return
     top, rest = split_rows(lam, r)
     assert top + rest == lam
+
+
+@st.composite
+def unitriangular(draw, entries, one):
+    """An upper unitriangular matrix of size <= 7 with ``entries`` above
+    the diagonal."""
+    size = draw(st.integers(min_value=0, max_value=7))
+    return [
+        [one if i == j else draw(entries) if j > i else 0 * one for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@given(
+    st.one_of(
+        unitriangular(st.integers(min_value=-9, max_value=9), 1),
+        unitriangular(
+            st.fractions(min_value=-4, max_value=4, max_denominator=6), Fraction(1)
+        ),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_unitriangular_inverse_is_a_two_sided_inverse(a):
+    zero = 0 * a[0][0] if a else 0
+    inv = unitriangular_inverse(a, zero)
+    identity = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    assert _product(inv, a) == identity
+    assert _product(a, inv) == identity
+    # integer input stays in the integers: no division happens
+    if all(type(x) is int for row in a for x in row):
+        assert all(type(x) is int for row in inv for x in row)
