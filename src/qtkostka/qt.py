@@ -10,7 +10,9 @@ rationals is decided by cross-multiplication, never by canonical forms.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
+from math import gcd
+from operator import add
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .errors import ConsistencyError, DomainError, PoleError
 
@@ -264,58 +266,81 @@ def divide_binomial_power(
     lattice lines e0 + j(a, b) as p = sum_e0 q^e0_q t^e0_t f_e0(X), and
     multiplying by 1 - X keeps each line to itself.  Since (1 - X) divides
     f exactly when f(1) = 0, p is divisible if and only if the coefficients
-    on every line sum to 0.  The quotient on a line is then the running
-    sum of its coefficients, taken in increasing j, without its final
-    (zero) total.  Most attempts fail the first test, so it runs before
-    any line is built, on the buckets of the integer key b*e_q - a*e_t:
-    each bucket is a union of whole lines, so a nonzero bucket sum proves
-    the division fails.  When gcd(a, b) = 1 a bucket is one line; when
-    it holds several, the first dense round finds a line's nonzero total.
+    on every line sum to 0.  The quotient at a point is then the running
+    sum of p along its line, up to and including the point.  Most attempts
+    fail the first test, so it runs before any sum is built, on the
+    buckets of the integer key b*e_q - a*e_t: each bucket is a union of
+    whole lines, so a nonzero bucket sum proves the division fails.  When
+    gcd(a, b) = 1 a bucket is one line.
+
+    The running sums run on a flat list over p's bounding box: one row
+    per e_q, each padded by b zero columns, and a zero rows appended, so
+    that a step of (a, b) is a step of a*width + b along the list.  A step
+    back from a box slot stays on its line inside the box, or leaves the
+    box: before the list, or onto a padding slot.  An exact quotient lies
+    inside p's bounding box, so its sums vanish on every padding slot;
+    conversely, when they do, the box holds a q with p = (1 - X) q.  A
+    round is therefore exact just when its sums vanish off the box.  Time
+    and memory grow with the area of the box, which the pipeline's
+    numerators fill to about two thirds.
     """
     if (a, b) == (0, 0) or a < 0 or b < 0:
         raise DomainError(f"not a binomial denominator: (1 - q^{a} t^{b})")
     if m < 0:
         raise DomainError(f"negative power {m}")
+    terms = p._terms
+    if not terms:
+        return p, m
     buckets: dict[int, int] = {}
     get = buckets.get
-    for (eq, et), c in p._terms.items():
+    for (eq, et), c in terms.items():
         key = b * eq - a * et
         buckets[key] = get(key, 0) + c
     if any(buckets.values()):
         return p, 0
-    # a line is keyed by its base point, the lattice point on it with
-    # 0 <= e_q < a (0 <= e_t < b when a = 0); j counts steps of (a, b)
-    lines: dict[ExponentPair, dict[int, int]] = {}
-    for (eq, et), c in p._terms.items():
-        j = eq // a if a else et // b
-        base = (eq - j * a, et - j * b)
-        line = lines.get(base)
-        if line is None:
-            lines[base] = {j: c}
-        else:
-            line[j] = c
-    bases = []
-    rows = []
-    for base, line in lines.items():
-        lo = min(line)
-        row = [0] * (max(line) - lo + 1)
-        for j, c in line.items():
-            row[j - lo] = c
-        bases.append((base, lo))
-        rows.append(row)
+    eqs, ets = zip(*terms)
+    lo_q, lo_t = min(eqs), min(ets)
+    span_q = max(eqs) - lo_q + 1
+    span_t = max(ets) - lo_t + 1
+    width = span_t + b
+    step = a * width + b
+    flat = [0] * ((span_q + a) * width)
+    origin = lo_q * width + lo_t
+    for (eq, et), c in terms.items():
+        flat[eq * width + et - origin] = c
+    box_end = span_q * width
     done = 0
     while done < m:
-        sums = [list(accumulate(row)) for row in rows]
-        if any(row.pop() for row in sums):
+        sums = _strided_sums(flat, step)
+        if any(sums[box_end:]) or any(
+            any(sums[i:i + b]) for i in range(span_t, box_end, width)
+        ):
             break
-        rows = sums
+        flat = sums
         done += 1
-    return _wrap({
-        (bq + i * a, bt + i * b): c
-        for ((bq, bt), lo), row in zip(bases, rows)
-        for i, c in enumerate(row, lo)
-        if c
-    }), done
+    if not done:
+        return p, 0
+    quotient = {}
+    for row, eq in zip(range(0, box_end, width), range(lo_q, lo_q + span_q)):
+        for et, c in enumerate(flat[row:row + span_t], lo_t):
+            if c:
+                quotient[(eq, et)] = c
+    return _wrap(quotient), done
+
+
+def _strided_sums(flat: list[int], step: int) -> list[int]:
+    """sums[i] = flat[i] + sums[i - step]: running sums along every
+    residue class mod step, in whichever of two forms loops fewer times."""
+    size = len(flat)
+    if step * step < size:
+        sums = [0] * size
+        for j in range(step):
+            sums[j::step] = accumulate(flat[j::step])
+        return sums
+    sums = flat[:step]
+    for i in range(step, size, step):
+        sums += map(add, flat[i:i + step], sums[i - step:i])
+    return sums
 
 
 def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
@@ -441,6 +466,10 @@ def _normalize_factors(factors: Iterable) -> tuple[BinomialFactor, ...]:
         if (a, b) == (0, 0) or a < 0 or b < 0 or mult < 1:
             raise DomainError(f"invalid binomial factor {f}")
         counts[(a, b)] = counts.get((a, b), 0) + mult
+    return _sorted_factors(counts)
+
+
+def _sorted_factors(counts: dict[ExponentPair, int]) -> tuple[BinomialFactor, ...]:
     return tuple(
         BinomialFactor(a, b, counts[(a, b)])
         for (a, b) in sorted(counts, key=_factor_order)
@@ -453,6 +482,89 @@ def expand_factors(factors: Iterable) -> QtPolynomial:
     for f in _normalize_factors(factors):
         result = result * binomial_poly(f.a, f.b) ** f.multiplicity
     return result
+
+
+# Why +, * and the constructor may skip division trials and still store
+# exactly what full greedy cancellation stores.
+#
+# Invariant: no factor left in a stored denominator divides the stored
+# numerator.  Greedy cancellation leaves it so, since a factor that does
+# not divide N does not divide N / g either; negation, unit products and
+# cache reads keep it.
+#
+# Directions: with g = gcd(a, b) and X = q^(a/g) t^(b/g), 1 - q^a t^b is
+# 1 - X^g, a product of cyclotomic polynomials in X.  A monomial change of
+# variables from GL2(Z) takes the primitive monomial X to a single
+# variable u, and each cyclotomic polynomial in u stays irreducible in
+# the unique factorisation domain Z[u^±1, v^±1].  So binomials of
+# different directions (a, b)/g share no factor, and a primitive binomial
+# (g = 1) is prime.  Dividing by factors of one direction never changes
+# whether a factor of another divides, so greedy cancellation runs
+# direction by direction; only the order within a direction matters.
+#
+# R1 (sums): let f be the only factor of its direction in the union, with
+# multiplicity m1 > m2 in the two summands.  The lifted sum is
+# n1 L1 + n2 L2, where f divides L2 and L1 holds only other directions.
+# f dividing the sum would make it divide n1 L1, hence n1, since it
+# shares no factor with L1: against the invariant.  So every trial of f
+# fails.
+#
+# R2 (products): let f = 1 - X be primitive: it is prime, and it comes
+# first among the factors of its direction in the fixed order, whose
+# key (a + b, a, b) grows with the multiple.  If both denominators
+# hold it, f divides neither numerator, and so not their product.  If
+# only the first holds it, m times, f does not divide n1, so f^k divides
+# n1 n2 exactly when it divides n2: dividing n2 by f up to m times first
+# leaves the quotient that the trials on the product leave, and the
+# later factors of its direction are tried on that same quotient.
+#
+# R3 (_lift) multiplies without the generic product; it changes no value.
+#
+# R4 (every cancellation): a primitive factor that stays in the
+# denominator does not divide the numerator, nor any later quotient of
+# it.  Each later factor of its direction, 1 - X^k, is a multiple of it,
+# so none of them can divide either.
+
+
+def _direction(a: int, b: int) -> ExponentPair:
+    g = gcd(a, b)
+    return (a // g, b // g)
+
+
+def _alone(counts: dict[ExponentPair, int]) -> set[ExponentPair]:
+    """The factors of counts that no other factor shares a direction with."""
+    by_direction: dict[ExponentPair, ExponentPair | None] = {}
+    for a, b in counts:
+        d = _direction(a, b)
+        by_direction[d] = None if d in by_direction else (a, b)
+    return {k for k in by_direction.values() if k is not None}
+
+
+def _cancel(
+    num: QtPolynomial,
+    factors: tuple[BinomialFactor, ...],
+    skip: Container[ExponentPair],
+) -> tuple[QtPolynomial, tuple[BinomialFactor, ...]]:
+    """Greedy cancellation of num over factors, in their order: each is
+    divided into num as often as it divides exactly.  The factors in
+    ``skip`` are known not to divide and stay whole without a trial, and
+    so do the factors of a direction whose primitive factor stayed."""
+    if num.is_zero:
+        return QtPolynomial.zero(), ()
+    remaining: list[BinomialFactor] = []
+    # R4: directions whose primitive factor stays
+    stuck: set[ExponentPair] = set()
+    for f in factors:
+        direction = _direction(f.a, f.b)
+        if (f.a, f.b) in skip or direction in stuck:
+            done = 0
+        else:
+            num, done = divide_binomial_power(num, f.a, f.b, f.multiplicity)
+        if done < f.multiplicity:
+            remaining.append(BinomialFactor(f.a, f.b, f.multiplicity - done))
+            if direction == (f.a, f.b):
+                stuck.add(direction)
+    return num, tuple(remaining)
 
 
 class QtRational:
@@ -469,18 +581,7 @@ class QtRational:
     def __init__(self, num: QtPolynomial | int, den: Iterable = ()):
         if isinstance(num, int):
             num = QtPolynomial.from_int(num)
-        factors = _normalize_factors(den)
-        if num.is_zero:
-            self._num = QtPolynomial.zero()
-            self._den = ()
-            return
-        remaining: list[BinomialFactor] = []
-        for f in factors:
-            num, done = divide_binomial_power(num, f.a, f.b, f.multiplicity)
-            if done < f.multiplicity:
-                remaining.append(BinomialFactor(f.a, f.b, f.multiplicity - done))
-        self._num = num
-        self._den = tuple(remaining)
+        self._num, self._den = _cancel(num, _normalize_factors(den), ())
 
     @classmethod
     def _raw(cls, num: QtPolynomial, den: tuple[BinomialFactor, ...]) -> "QtRational":
@@ -544,10 +645,13 @@ class QtRational:
         d1 = self._den_counts()
         d2 = other._den_counts()
         union = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in d1.keys() | d2.keys()}
-        return QtRational(
+        # R1: a lone factor of its direction whose multiplicities differ
+        skip = {k for k in _alone(union) if d1.get(k, 0) != d2.get(k, 0)}
+        return QtRational._raw(*_cancel(
             _lift(self._num, d1, union) + _lift(other._num, d2, union),
-            [(k[0], k[1], m) for k, m in union.items()],
-        )
+            _sorted_factors(union),
+            skip,
+        ))
 
     __radd__ = __add__
 
@@ -574,9 +678,30 @@ class QtRational:
             return QtRational._raw(self._num * other._num, self._den)
         if self._is_unit():
             return QtRational._raw(self._num * other._num, other._den)
-        return QtRational(
-            self._num * other._num, list(self._den) + list(other._den)
-        )
+        n1, n2 = self._num, other._num
+        d1 = self._den_counts()
+        d2 = other._den_counts()
+        counts = dict(d1)
+        for k, m in d2.items():
+            counts[k] = counts.get(k, 0) + m
+        # R2: a primitive factor is tried on the other operand, if at all,
+        # never on the product
+        skip = set()
+        for k in counts:
+            a, b = k
+            if gcd(a, b) != 1:
+                continue
+            skip.add(k)
+            if k not in d2:
+                n2, done = divide_binomial_power(n2, a, b, d1[k])
+            elif k not in d1:
+                n1, done = divide_binomial_power(n1, a, b, d2[k])
+            else:
+                continue
+            counts[k] -= done
+        return QtRational._raw(*_cancel(
+            n1 * n2, _sorted_factors({k: m for k, m in counts.items() if m}), skip
+        ))
 
     __rmul__ = __mul__
 
@@ -655,10 +780,17 @@ class QtRational:
 
 def _lift(num: QtPolynomial, den: dict, union: dict) -> QtPolynomial:
     """num times the binomials that union holds beyond den, one at a time."""
+    terms = num._terms
     for (a, b), mult in union.items():
         for _ in range(mult - den.get((a, b), 0)):
-            num = num * binomial_poly(a, b)
-    return num
+            # R3: p (1 - q^a t^b) is p minus p shifted by (a, b)
+            lifted = dict(terms)
+            get = lifted.get
+            for (eq, et), c in terms.items():
+                e = (eq + a, et + b)
+                lifted[e] = get(e, 0) - c
+            terms = lifted
+    return num if terms is num._terms else QtPolynomial(terms)
 
 
 def _coerce(value) -> QtRational:

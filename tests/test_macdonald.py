@@ -19,7 +19,14 @@ from qtkostka.macdonald import (
     psi_strip,
 )
 from qtkostka.partitions import conjugate, partitions_of
-from qtkostka.qt import ONE, Q, T, QtRational, expand_factors
+from qtkostka.qt import (
+    ONE,
+    Q,
+    T,
+    QtRational,
+    exact_div_binomial,
+    expand_factors,
+)
 from qtkostka.tableaux import (
     enumerate_ssyt,
     kostka_foulkes,
@@ -123,6 +130,18 @@ def test_unitriangularity_every_computed_degree():
     for n, bundle in sorted(_memory_cache.items()):
         for mat in bundle:
             assert mat.is_unitriangular(), n
+
+
+def test_stored_entries_keep_the_normal_form():
+    # the premise of QtRational's skipped division trials: no factor left
+    # in a stored denominator divides the stored numerator
+    for n in range(1, 7):
+        for mat in build_matrices(n):
+            for row in mat.entries:
+                for entry in row:
+                    for f in entry.den:
+                        quotient = exact_div_binomial(entry.num, f.a, f.b)
+                        assert quotient is None, (n, entry)
 
 
 def test_entry_rejects_partition_of_other_degree():

@@ -5,6 +5,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qtkostka import qt
 from qtkostka.errors import ConsistencyError, DomainError, PoleError
 from qtkostka.oracle import kronecker_point
 from qtkostka.qt import (
@@ -40,6 +41,11 @@ def qt_polynomials(draw):
 @st.composite
 def qt_rationals(draw):
     num = draw(qt_polynomials())
+    # binomials in the numerator give the denominator something to cancel
+    binomials = st.tuples(st.integers(0, 4), st.integers(0, 3))
+    for a, b in draw(st.lists(binomials, max_size=2)):
+        if (a, b) != (0, 0):
+            num = num * binomial_poly(a, b)
     n_factors = draw(st.integers(min_value=0, max_value=2))
     # repeated factors, so sums must take the larger multiplicity
     factors = [
@@ -85,6 +91,11 @@ def test_rational_normalization_examples():
     r = QtRational(binomial_poly(2, 0), [(1, 0)])
     assert r.is_polynomial()
     assert r.as_polynomial() == 1 + Q
+
+    # 1 - q^2 stays, yet 1 - q^3 divides: only a primitive factor that
+    # stays rules out the rest of its direction
+    r = QtRational(1 - Q**3, [(2, 0), (3, 0)])
+    assert r.to_obj() == {"num": ONE.to_obj(), "den": [[2, 0, 1]]}
 
     # 1/(1-qt) + (-1)/(1-qt) = 0
     a = QtRational(ONE, [(1, 1)])
@@ -221,6 +232,22 @@ units = st.builds(
 )
 
 
+def _by_full_greedy(num, den):
+    # the stored form with no shortcut: every factor, in the (a+b, a, b)
+    # order, is divided into num as often as it divides
+    counts = {}
+    for a, b, m in den:
+        counts[(a, b)] = counts.get((a, b), 0) + m
+    if num.is_zero:
+        return {"num": [], "den": []}
+    remaining = []
+    for a, b in sorted(counts, key=lambda k: (k[0] + k[1], k[0], k[1])):
+        num, done = divide_binomial_power(num, a, b, counts[(a, b)])
+        if done < counts[(a, b)]:
+            remaining.append([a, b, counts[(a, b)] - done])
+    return {"num": num.to_obj(), "den": remaining}
+
+
 def _sum_by_expanded_lifts(x, y):
     # the sum with no shortcut: each numerator times the expanded product
     # of the factors it lacks, then full greedy cancellation
@@ -230,7 +257,7 @@ def _sum_by_expanded_lifts(x, y):
     lift1 = [(*k, m - d1.get(k, 0)) for k, m in union.items() if m > d1.get(k, 0)]
     lift2 = [(*k, m - d2.get(k, 0)) for k, m in union.items() if m > d2.get(k, 0)]
     num = x.num * expand_factors(lift1) + y.num * expand_factors(lift2)
-    return QtRational(num, [(*k, m) for k, m in union.items()])
+    return _by_full_greedy(num, [(*k, m) for k, m in union.items()])
 
 
 def _coerce_num(unit):
@@ -240,21 +267,63 @@ def _coerce_num(unit):
 @given(qt_rationals(), qt_rationals(), units, st.integers(-5, 5).filter(bool))
 @example(QtRational(ONE, [(1, 1, 2)]), QtRational(ONE, [(1, 1)]), QtRational(T), 1)
 @example(QtRational(ONE, [(1, 0)]), QtRational(1 - Q), QtRational(-Q), -1)
+# a sum whose differing factors share a direction: (1 - q) divides it
+@example(QtRational(ONE, [(1, 0)]), QtRational(Q * (1 + Q), [(2, 0)]), QtRational(T), 1)
+# a product whose factor 1 - q^2 is no prime: it divides neither numerator,
+# but it divides their product
+@example(QtRational(1 - Q, [(2, 0)]), QtRational(1 + Q, [(0, 1)]), QtRational(T), 1)
+# a numerator holding 1 - q more often than the other denominator
+@example(QtRational(ONE, [(1, 0)]), QtRational((1 - Q) ** 2, [(0, 1)]), QtRational(T), 1)
+# operands whose numerators cancel each other's denominators
+@example(QtRational(1 - Q * T, [(1, 0)]), QtRational(1 - Q, [(1, 1)]), QtRational(Q), 2)
+# a factor shared at equal multiplicity, cancelled by the difference
+@example(QtRational(ONE, [(1, 0)]), QtRational(Q, [(1, 0)]), QtRational(T), 1)
 @settings(max_examples=200, deadline=None)
 def test_fast_paths_keep_the_normal_form(x, y, u, n):
-    # every shortcut in + and * stores exactly the (num, den) that full
-    # greedy cancellation stores
+    # every shortcut in +, * and the constructor stores exactly the
+    # (num, den) that full greedy cancellation stores
     for unit in (u, n):
-        by_cancellation = QtRational(x.num * _coerce_num(unit), x.den).to_obj()
+        by_cancellation = _by_full_greedy(x.num * _coerce_num(unit), x.den)
         assert (x * unit).to_obj() == by_cancellation
         assert (unit * x).to_obj() == by_cancellation
     zero = QtRational(QtPolynomial.zero())
     for z in (0, QtPolynomial.zero(), zero):
         assert (x + z).to_obj() == x.to_obj()
         assert (z + x).to_obj() == x.to_obj()
-    assert (x * y).to_obj() == QtRational(x.num * y.num, x.den + y.den).to_obj()
-    assert (x + y).to_obj() == _sum_by_expanded_lifts(x, y).to_obj()
-    assert (x - y).to_obj() == _sum_by_expanded_lifts(x, -y).to_obj()
+    product = _by_full_greedy(x.num * y.num, x.den + y.den)
+    assert (x * y).to_obj() == product
+    assert QtRational(x.num * y.num, x.den + y.den).to_obj() == product
+    assert (x + y).to_obj() == _sum_by_expanded_lifts(x, y)
+    assert (x - y).to_obj() == _sum_by_expanded_lifts(x, -y)
+
+
+def test_trials_that_cannot_divide_are_skipped(monkeypatch):
+    one_over_1mq = QtRational(1, [(1, 0)])
+    one_over_1mt = QtRational(1, [(0, 1)])
+    cross = QtRational(1 - Q * T, [(1, 0)]), QtRational(1 - Q, [(1, 1)])
+    trials = []
+    divide = qt.divide_binomial_power
+
+    def counting(p, a, b, m):
+        trials.append((p, a, b))
+        return divide(p, a, b, m)
+
+    monkeypatch.setattr(qt, "divide_binomial_power", counting)
+    # each factor is alone in its direction and missing from one summand
+    total = one_over_1mq + one_over_1mt
+    assert trials == []
+    assert total.num == 2 - Q - T and total.den == ((0, 1, 1), (1, 0, 1))
+    # 1 - q stays, so 1 - q^2, a multiple of it, is not tried
+    trials.clear()
+    assert QtRational(1 + T, [(1, 0), (2, 0)]).den == ((1, 0, 1), (2, 0, 1))
+    assert trials == [(1 + T, 1, 0)]
+    # each primitive factor divides the other operand, not the product
+    trials.clear()
+    product = cross[0] * cross[1]
+    assert product.num == 1 and product.den == ()
+    assert sorted(trials, key=lambda trial: trial[1:]) == [
+        (1 - Q, 1, 0), (1 - Q * T, 1, 1)
+    ]
 
 
 binomial_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
