@@ -275,9 +275,11 @@ def divide_binomial_power(
 
     The running sums run on a flat list over p's bounding box: one row
     per e_q, each padded by b zero columns, and a zero rows appended, so
-    that a step of (a, b) is a step of a*width + b along the list.  A step
-    back from a box slot stays on its line inside the box, or leaves the
-    box: before the list, or onto a padding slot.  An exact quotient lies
+    that a step of (a, b) is a step of a*width + b along the list; the
+    sums are built one chunk of that length at a time, each chunk the
+    previous one plus the matching chunk of the list.  A step back from a
+    box slot stays on its line inside the box, or leaves the box: before
+    the list, or onto a padding slot.  An exact quotient lies
     inside p's bounding box, so its sums vanish on every padding slot;
     conversely, when they do, the box holds a q with p = (1 - X) q.  A
     round is therefore exact just when its sums vanish off the box.  Time
@@ -311,7 +313,9 @@ def divide_binomial_power(
     box_end = span_q * width
     done = 0
     while done < m:
-        sums = _strided_sums(flat, step)
+        sums = flat[:step]
+        for i in range(step, len(flat), step):
+            sums += map(add, flat[i:i + step], sums[i - step:i])
         if any(sums[box_end:]) or any(
             any(sums[i:i + b]) for i in range(span_t, box_end, width)
         ):
@@ -326,21 +330,6 @@ def divide_binomial_power(
             if c:
                 quotient[(eq, et)] = c
     return _wrap(quotient), done
-
-
-def _strided_sums(flat: list[int], step: int) -> list[int]:
-    """sums[i] = flat[i] + sums[i - step]: running sums along every
-    residue class mod step, in whichever of two forms loops fewer times."""
-    size = len(flat)
-    if step * step < size:
-        sums = [0] * size
-        for j in range(step):
-            sums[j::step] = accumulate(flat[j::step])
-        return sums
-    sums = flat[:step]
-    for i in range(step, size, step):
-        sums += map(add, flat[i:i + step], sums[i - step:i])
-    return sums
 
 
 def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
