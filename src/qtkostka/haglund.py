@@ -2,10 +2,12 @@
 
 For a pair (lambda, mu) and k >= 0 the check substitutes q := t^k into
 the integral-form coefficient, divides by (1-t)^|lambda| and inspects
-the quotient.  A route only chooses how the bivariate coefficient is
-found, once per pair: the row/column closed forms, the reduction tree
-with multiplicity-one leaves, or k_coeff on the whole pair; every route
-then substitutes and divides the same way.  Tests cross-check the routes
+the quotient.  The value is the reduction tree replayed with closed-form
+leaves when every leaf is multiplicity-one (fast_k; a row or a column
+is one such leaf), and k_coeff on the whole pair otherwise.  The branch
+that names the route sets the coverage tag: the paper's theorem covers
+each multiplicity-one leaf, and at q = t^k each cofactor 1 - q^a t^b is
+(1 - t)[ka + b]_t, so it covers the pair.  Tests cross-check the routes
 against generic_quotient, which replays the tree with k_coeff leaves.
 """
 
@@ -16,14 +18,8 @@ from itertools import chain, starmap
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
-from .macdonald import closed_form_column, closed_form_row, k_coeff
-from .partitions import (
-    Partition,
-    conjugate,
-    dominance_leq,
-    partition,
-    partitions_of,
-)
+from .macdonald import k_coeff
+from .partitions import Partition, dominance_leq, partition, partitions_of
 from .qt import (
     QtPolynomial,
     divide_at_q_power,
@@ -32,7 +28,7 @@ from .qt import (
     row_polynomial,
 )
 from .reductions import decompose_irreducible, fast_k
-from .tableaux import kostka_number
+from .tableaux import kostka_number  # noqa: F401; perfbench wraps this binding
 
 COVERAGE_MULT_ONE = "theorem_mult_one"
 COVERAGE_ROW_OR_COL = "theorem_row_or_col"
@@ -105,7 +101,9 @@ def pair_verdicts(
     """Verdicts for one pair at each k of ks, in order.
 
     The route, the coverage tag and the bivariate value do not depend on
-    k, so they are found once for the pair, from at most one tree.
+    k, so they are found once for the pair, from at most one tree.  The
+    tag is read off the route: theorem_mult_one is the theorem on every
+    leaf of the canonical tree, not K = 1 on the whole pair.
     """
     lam = partition(lam)
     mu = partition(mu)
@@ -122,25 +120,16 @@ def pair_verdicts(
             for k in ks
         ]
     n = sum(lam)
+    value = fast_k(lam, mu)
     if len(lam) <= 1:
         route, coverage = "closed_row", COVERAGE_ROW_OR_COL
-        value = closed_form_row(n, mu)
     elif mu == (1,) * n:
         route, coverage = "closed_column", COVERAGE_ROW_OR_COL
-        value = closed_form_column(lam, n)
+    elif value is not None:
+        route, coverage = "mult_one_tree", COVERAGE_MULT_ONE
     else:
-        value = fast_k(lam, mu)
-        if value is not None:
-            route = "mult_one_tree"
-        else:
-            route = "reduction_pipeline"
-            value = k_coeff(lam, mu)
-        # the paper's theorem covers K(lambda, mu) = 1 or K(mu', lambda') = 1
-        theorem = (
-            kostka_number(lam, mu) == 1
-            or kostka_number(conjugate(mu), conjugate(lam)) == 1
-        )
-        coverage = COVERAGE_MULT_ONE if theorem else COVERAGE_CONJECTURE
+        route, coverage = "reduction_pipeline", COVERAGE_CONJECTURE
+        value = k_coeff(lam, mu)
     # the closed forms need no case for small k: when l(mu) > k (row) or
     # lambda_1 > k (column), one factor is 1 - q t^-k, which vanishes at
     # q = t^k, so the value divides exactly to 0

@@ -162,38 +162,73 @@ def test_verdicts_survive_pickling():
     assert len(routes) == len(pairs)
 
 
-ROUTE_COVERAGE = {
-    "closed_row": COVERAGE_ROW_OR_COL,
-    "closed_column": COVERAGE_ROW_OR_COL,
-    "mult_one_tree": COVERAGE_MULT_ONE,
-    "reduction_pipeline": COVERAGE_CONJECTURE,
-}
-
-
-def test_route_matches_coverage(monkeypatch):
-    # the route reads BZ shapes off the tree's leaves, the coverage tag
-    # reads K(lambda, mu) = 1 or K(mu', lambda') = 1 off the whole pair;
-    # neither reads the pipeline's value, so degrees 8 and 9 stub it
-    for n in range(1, 10):
-        if n == 8:
-            monkeypatch.setattr(haglund, "k_coeff", lambda lam, mu: QtPolynomial.zero())
+def _dominance_pairs(max_n):
+    for n in range(1, max_n + 1):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 if dominance_leq(mu, lam):
-                    (v,) = pair_verdicts(lam, mu, [1])
-                    assert ROUTE_COVERAGE[v.route] == v.coverage, (lam, mu)
+                    yield n, lam, mu
 
 
-def test_route_and_coverage_part_at_degree_ten():
+def _theorem_pair(lam, mu):
+    # the paper's theorem covers K(lambda, mu) = 1 or K(mu', lambda') = 1
+    return (
+        kostka_number(lam, mu) == 1
+        or kostka_number(conjugate(mu), conjugate(lam)) == 1
+    )
+
+
+def _cofactors(tree):
+    # every cofactor (a, b) of every node; leaves have none
+    below = (c for child in tree.children for c in _cofactors(child))
+    return [*tree.cofactor, *below]
+
+
+def test_theorem_pairs_have_multiplicity_one_trees():
+    # the converse that lets the route set the tag: every pair the
+    # theorem covers outside the closed shapes takes mult_one_tree, so
+    # none falls to the pipeline and loses its tag
+    for n, lam, mu in _dominance_pairs(12):
+        if len(lam) <= 1 or mu == (1,) * n or not _theorem_pair(lam, mu):
+            continue
+        for leaf in decompose_irreducible(lam, mu).leaves():
+            if leaf.kind == "leaf":
+                cls = classify_bz(leaf.lam, leaf.mu)
+                assert cls.is_multiplicity_one, (lam, mu, leaf)
+
+
+def test_product_rule_premises():
+    # (i) the cofactors and the leaves' sizes add up to n, so (1 - t)^n
+    # gives one 1 - t to each cofactor 1 - q^a t^b, which a >= 1 turns
+    # into (1 - t)[ka + b]_t at q = t^k, and |leaf| to each leaf;
+    # (ii) the paper's theorem applies to each multiplicity-one leaf
+    for n, lam, mu in _dominance_pairs(12):
+        tree = decompose_irreducible(lam, mu)
+        cofactors, leaves = _cofactors(tree), tree.leaves()
+        assert len(cofactors) + sum(sum(leaf.lam) for leaf in leaves) == n
+        assert all(a >= 1 for a, _ in cofactors), (lam, mu)
+        for leaf in leaves:
+            if leaf.kind == "empty":
+                continue
+            if classify_bz(leaf.lam, leaf.mu).is_multiplicity_one:
+                assert _theorem_pair(leaf.lam, leaf.mu), (lam, mu, leaf)
+
+
+def test_product_rule_covers_a_pair_with_kostka_two():
     # the tree row-splits into (3)/(2,1) and (2,1)/(1,1,1), both
-    # multiplicity one, but K = 2 both ways on the whole pair: the map
-    # above holds only to degree 9
+    # multiplicity one, so the theorem covers every leaf although
+    # K = 2 both ways on the whole pair
     lam, mu = (5, 2, 2, 1), (4, 3, 1, 1, 1)
     assert kostka_number(lam, mu) == 2
     assert kostka_number(conjugate(mu), conjugate(lam)) == 2
+    leaves = decompose_irreducible(lam, mu).leaves()
+    assert [(leaf.lam, leaf.mu) for leaf in leaves] == [
+        ((3,), (2, 1)),
+        ((2, 1), (1, 1, 1)),
+    ]
     (v,) = pair_verdicts(lam, mu, (0,))
     assert v.route == "mult_one_tree"
-    assert v.coverage == COVERAGE_CONJECTURE
+    assert v.coverage == COVERAGE_MULT_ONE
 
 
 def test_pair_verdicts_builds_at_most_one_tree(monkeypatch):
