@@ -24,17 +24,12 @@ from .partitions import (
     diagram_stats,
     dominance_leq,
     n_stat,
+    ordered_dot,
     partition,
     partitions_of,
     unitriangular_inverse,
 )
-from .qt import (
-    ONE,
-    QtPolynomial,
-    QtRational,
-    binomial_poly,
-    expand_factors,
-)
+from .qt import ONE, QtPolynomial, QtRational, expand_factors, times_binomials
 from .tableaux import is_horizontal_strip, kostka_inverse, kostka_number, strip_step
 
 CACHE_FORMAT_VERSION = 1
@@ -71,10 +66,9 @@ def normalization(mu: Partition) -> NormalizationConstants:
     """c_mu, c'_mu as expanded polynomials and b_mu = c_mu / c'_mu."""
     cf = c_factors(mu)
     cpf = c_prime_factors(mu)
+    c = expand_factors(cf)
     return NormalizationConstants(
-        c=expand_factors(cf),
-        c_prime=expand_factors(cpf),
-        b=QtRational(expand_factors(cf), cpf),
+        c=c, c_prime=expand_factors(cpf), b=QtRational(c, cpf)
     )
 
 
@@ -94,7 +88,7 @@ def psi_strip(lam: Partition, mu: Partition) -> QtRational:
         raise DomainError(f"{lam}/{mu} is not a horizontal strip")
     conj_lam = conjugate(lam)
     conj_mu = conjugate(mu)
-    num = ONE
+    num: list[tuple[int, int]] = []
     den: list[tuple[int, int]] = []
     for r in range(1, len(mu) + 1):
         if lam[r - 1] == mu[r - 1]:
@@ -104,11 +98,9 @@ def psi_strip(lam: Partition, mu: Partition) -> QtRational:
                 continue  # column grew
             sm = diagram_stats(mu, (r, col))
             sl = diagram_stats(lam, (r, col))
-            num = num * binomial_poly(sm.arm, sm.leg + 1)
-            num = num * binomial_poly(sl.arm + 1, sl.leg)
-            den.append((sm.arm + 1, sm.leg))
-            den.append((sl.arm, sl.leg + 1))
-    return QtRational(num, den)
+            num += [(sm.arm, sm.leg + 1), (sl.arm + 1, sl.leg)]
+            den += [(sm.arm + 1, sm.leg), (sl.arm, sl.leg + 1)]
+    return QtRational(times_binomials(ONE, num), den)
 
 
 @cache
@@ -189,20 +181,14 @@ class TriangularMatrix:
         if self.n != other.n:
             raise DomainError("degree mismatch in matrix product")
         size = len(self.index)
-        out = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                acc = QtRational(0)
-                for k in range(i, j + 1):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return TriangularMatrix(self.n, out)
+        zero = QtRational(0)
+        return TriangularMatrix(self.n, [
+            [
+                ordered_dot(row[i:j + 1], [r[j] for r in other.entries[i:j + 1]], zero)
+                for j in range(size)
+            ]
+            for i, row in enumerate(self.entries)
+        ])
 
     def inverse(self) -> "TriangularMatrix":
         """Invert by back-substitution; the unit diagonal means no division."""
@@ -405,9 +391,7 @@ def _j_entry(mu: Partition, nu: Partition) -> QtPolynomial:
     # factors as multisets, and divide only by the ones left over
     c = Counter(c_factors(mu))
     den = Counter({(f.a, f.b): f.multiplicity for f in k1.den})
-    num = k1.num
-    for a, b in (c - den).elements():
-        num = num * binomial_poly(a, b)
+    num = times_binomials(k1.num, (c - den).elements())
     return QtRational(num, (den - c).elements()).as_polynomial()
 
 
@@ -434,13 +418,12 @@ def closed_form_row(n: int, mu: Partition) -> QtPolynomial:
     mu = partition(mu)
     if sum(mu) != n:
         raise DomainError(f"|{mu}| != {n}")
-    result = QtPolynomial.monomial(1, 0, n_stat(mu))
-    for x in cells(mu):
-        s = diagram_stats(mu, x)
-        # 1 - q^(a'+1) t^(-l'), Laurent until the prefactor clears it
-        result = result * QtPolynomial(
-            {(0, 0): 1, (s.coarm + 1, -s.coleg): -1}
-        )
+    # 1 - q^(a'+1) t^(-l') per box, Laurent until the prefactor clears it
+    stats = [diagram_stats(mu, x) for x in cells(mu)]
+    result = times_binomials(
+        QtPolynomial.monomial(1, 0, n_stat(mu)),
+        ((s.coarm + 1, -s.coleg) for s in stats),
+    )
     if not result.is_genuine_polynomial():
         raise ConsistencyError(f"row closed form not polynomial for mu={mu}")
     return result
@@ -450,9 +433,10 @@ def kostka_foulkes_hook_form(lam: Partition) -> QtPolynomial:
     """K(lambda, 1^n)(t) via the t-analogue of the hook length formula."""
     lam = partition(lam)
     n = sum(lam)
-    num = QtPolynomial.monomial(1, 0, n_stat(conjugate(lam)))
-    for j in range(1, n + 1):
-        num = num * binomial_poly(0, j)
+    num = times_binomials(
+        QtPolynomial.monomial(1, 0, n_stat(conjugate(lam))),
+        ((0, j) for j in range(1, n + 1)),
+    )
     hooks = [(0, diagram_stats(lam, x).hook) for x in cells(lam)]
     return QtRational(num, hooks).as_polynomial()
 
@@ -462,10 +446,10 @@ def closed_form_column(lam: Partition, n: int) -> QtPolynomial:
     lam = partition(lam)
     if sum(lam) != n:
         raise DomainError(f"|{lam}| != {n}")
-    result = kostka_foulkes_hook_form(lam)
-    for x in cells(lam):
-        s = diagram_stats(lam, x)
-        result = result * QtPolynomial({(0, 0): 1, (1, -s.content): -1})
+    result = times_binomials(
+        kostka_foulkes_hook_form(lam),
+        ((1, -diagram_stats(lam, x).content) for x in cells(lam)),
+    )
     if not result.is_genuine_polynomial():
         raise ConsistencyError(f"column closed form not polynomial for {lam}")
     return result
@@ -488,13 +472,10 @@ def principal_specialization_P(
         alpha, beta = z
         if alpha < 0 or beta < 0:
             raise DomainError(f"z must be a monomial with nonneg exponents: {z}")
-    num = ONE
-    den: list[tuple[int, int]] = []
-    for x in cells(lam):
-        s = diagram_stats(lam, x)
-        factor = QtPolynomial.monomial(1, 0, s.coleg) - QtPolynomial.monomial(
-            1, s.coarm + alpha, beta
-        )
-        num = num * factor
-        den.append((s.arm, s.leg + 1))
-    return QtRational(num, den)
+    # a box's t^l' - q^(a'+alpha) t^beta is t^l' (1 - q^(a'+alpha) t^(beta-l'))
+    stats = [diagram_stats(lam, x) for x in cells(lam)]
+    num = times_binomials(
+        QtPolynomial.monomial(1, 0, sum(s.coleg for s in stats)),
+        ((s.coarm + alpha, beta - s.coleg) for s in stats),
+    )
+    return QtRational(num, [(s.arm, s.leg + 1) for s in stats])

@@ -48,7 +48,6 @@ def zee(lam: Partition) -> int:
     return out
 
 
-@cache
 def powersum_in_monomials(n: int) -> tuple[tuple[int, ...], ...]:
     """Integer matrix C with C[lam][mu] = coefficient of m_mu in p_lam,
     both indices running over the descending-lex partitions of n.

@@ -116,28 +116,32 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(result)
 
 
+def ordered_dot(xs: Iterable, ys: Iterable, zero):
+    """The sum of x * y over the pairs of xs and ys, in order, from ``zero``.
+
+    A term is skipped when either factor is zero.  Only ring operations
+    are used, so any exact entries (ints, Fractions, QtRationals) work,
+    and the fixed order fixes a non-canonical form.
+    """
+    acc = zero
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
 def unitriangular_inverse(rows: list, zero):
     """The inverse of an upper unitriangular matrix, by back-substitution.
 
     Row i of the inverse X has X[i][j] = -sum_{k=i}^{j-1} X[i][k] rows[k][j],
-    summed over ascending k from ``zero``, a term skipped when either
-    factor is zero; the unit diagonal means no division.  Only ring
-    operations are used, so any exact entries (ints, Fractions,
-    QtRationals) work, and the fixed order fixes a non-canonical form.
+    an ordered_dot over ascending k; the unit diagonal means no division.
     """
     size = len(rows)
     one = zero + 1
     inv = [[one if i == j else zero for j in range(size)] for i in range(size)]
     for i, row in enumerate(inv):
         for j in range(i + 1, size):
-            acc = zero
-            for k in range(i, j):
-                x = row[k]
-                if x:
-                    m = rows[k][j]
-                    if m:
-                        acc = acc + x * m
-            row[j] = -acc
+            row[j] = -ordered_dot(row[i:j], [r[j] for r in rows[i:j]], zero)
     return inv
 
 

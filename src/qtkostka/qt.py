@@ -250,6 +250,24 @@ def binomial_poly(a: int, b: int) -> QtPolynomial:
     return QtPolynomial({(0, 0): 1, (a, b): -1})
 
 
+def times_binomials(p: QtPolynomial, pairs: Iterable[ExponentPair]) -> QtPolynomial:
+    """p times the product of 1 - q^a t^b over the (a, b) in pairs.
+
+    Repeats count, exponents may be negative, (0, 0) gives zero and no
+    pairs give p.  Each factor is one pass, p minus its copy shifted by
+    (a, b); cancelled terms are dropped once, at the end.
+    """
+    terms = p._terms
+    for a, b in pairs:
+        shifted = dict(terms)
+        get = shifted.get
+        for (eq, et), c in terms.items():
+            e = (eq + a, et + b)
+            shifted[e] = get(e, 0) - c
+        terms = shifted
+    return p if terms is p._terms else QtPolynomial(terms)
+
+
 def t_number(j: int) -> QtPolynomial:
     """[j]_t = 1 + t + ... + t^(j-1); [0]_t = 0."""
     if j < 0:
@@ -465,12 +483,16 @@ def _sorted_factors(counts: dict[ExponentPair, int]) -> tuple[BinomialFactor, ..
     )
 
 
+def _repeated(factors: Iterable[tuple[int, int, int]]) -> Iterator[ExponentPair]:
+    """Each factor's (a, b), once per unit of its multiplicity."""
+    for a, b, mult in factors:
+        for _ in range(mult):
+            yield a, b
+
+
 def expand_factors(factors: Iterable) -> QtPolynomial:
     """Multiply out a product of binomial factors."""
-    result = QtPolynomial.one()
-    for f in _normalize_factors(factors):
-        result = result * binomial_poly(f.a, f.b) ** f.multiplicity
-    return result
+    return times_binomials(ONE, _repeated(_normalize_factors(factors)))
 
 
 # Why +, * and the constructor may skip division trials and still store
@@ -507,7 +529,8 @@ def expand_factors(factors: Iterable) -> QtPolynomial:
 # leaves the quotient that the trials on the product leave, and the
 # later factors of its direction are tried on that same quotient.
 #
-# R3 (_lift) multiplies without the generic product; it changes no value.
+# R3 (lifts) multiply by times_binomials, not the generic product; they
+# change no value.
 #
 # R4 (every cancellation): a primitive factor that stays in the
 # denominator does not divide the numerator, nor any later quotient of
@@ -636,8 +659,11 @@ class QtRational:
         union = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in d1.keys() | d2.keys()}
         # R1: a lone factor of its direction whose multiplicities differ
         skip = {k for k in _alone(union) if d1.get(k, 0) != d2.get(k, 0)}
+        # R3: each numerator is lifted by the factors it lacks
+        lift1 = _repeated((a, b, m - d1.get((a, b), 0)) for (a, b), m in union.items())
+        lift2 = _repeated((a, b, m - d2.get((a, b), 0)) for (a, b), m in union.items())
         return QtRational._raw(*_cancel(
-            _lift(self._num, d1, union) + _lift(other._num, d2, union),
+            times_binomials(self._num, lift1) + times_binomials(other._num, lift2),
             _sorted_factors(union),
             skip,
         ))
@@ -698,7 +724,8 @@ class QtRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._num * other.den_expanded() == other._num * self.den_expanded()
+        lhs = times_binomials(self._num, _repeated(other._den))
+        return lhs == times_binomials(other._num, _repeated(self._den))
 
     __hash__ = None  # non-canonical representation
 
@@ -765,21 +792,6 @@ class QtRational:
         if not self._den:
             return self._num.latex()
         return f"\\frac{{{self._num.latex()}}}{{{self._den_str('latex')}}}"
-
-
-def _lift(num: QtPolynomial, den: dict, union: dict) -> QtPolynomial:
-    """num times the binomials that union holds beyond den, one at a time."""
-    terms = num._terms
-    for (a, b), mult in union.items():
-        for _ in range(mult - den.get((a, b), 0)):
-            # R3: p (1 - q^a t^b) is p minus p shifted by (a, b)
-            lifted = dict(terms)
-            get = lifted.get
-            for (eq, et), c in terms.items():
-                e = (eq + a, et + b)
-                lifted[e] = get(e, 0) - c
-            terms = lifted
-    return num if terms is num._terms else QtPolynomial(terms)
 
 
 def _coerce(value) -> QtRational:

@@ -10,6 +10,7 @@ product) and replaying the tree reproduces k(lambda, mu) exactly.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, NamedTuple
 
 from .errors import ConsistencyError, DomainError
@@ -32,12 +33,13 @@ from .partitions import (
     subtract_rectangle,
 )
 from .qt import (
+    ONE,
     QtPolynomial,
     QtRational,
     binomial_poly,
     exact_div_binomial,
-    expand_factors,
     t_number,
+    times_binomials,
 )
 
 
@@ -62,9 +64,6 @@ class ReductionStep(NamedTuple):
     cofactor: tuple[tuple[int, int], ...] = ()
     children: tuple["ReductionStep", ...] = ()
 
-    def cofactor_poly(self) -> QtPolynomial:
-        return expand_factors(self.cofactor)
-
     def leaves(self) -> list["ReductionStep"]:
         if self.kind in ("leaf", "empty"):
             return [self]
@@ -84,10 +83,8 @@ class ReductionStep(NamedTuple):
             return QtPolynomial.one()
         if self.kind == "leaf":
             return leaf_eval(self.lam, self.mu)
-        value = self.cofactor_poly()
-        for child in self.children:
-            value = value * child.replay(leaf_eval)
-        return value
+        value = prod((child.replay(leaf_eval) for child in self.children), start=ONE)
+        return times_binomials(value, self.cofactor)
 
     def to_obj(self) -> dict:
         obj = {
@@ -294,16 +291,14 @@ def fast_k_multiplicity_one(
         mu_c = complement(mu, cls.m, cls.n + 1)
         base = closed_form_row(cls.m, mu_c)
         ratio = QtRational(
-            base * expand_factors(c_prime_factors(mu)),
-            c_prime_factors(mu_c),
+            times_binomials(base, c_prime_factors(mu)), c_prime_factors(mu_c)
         )
         return ratio.as_polynomial()
     if cls.tag == "dual_rectangle_case":
         lam_c = conjugate(complement(conjugate(lam), cls.m, cls.n + 1))
         base = closed_form_column(lam_c, cls.m)
         ratio = QtRational(
-            base * expand_factors(c_prime_factors(mu)),
-            c_prime_factors((1,) * cls.m),
+            times_binomials(base, c_prime_factors(mu)), c_prime_factors((1,) * cls.m)
         )
         return ratio.as_polynomial()
     raise DomainError(f"no fast path for tag {cls.tag}")

@@ -23,6 +23,7 @@ from qtkostka.qt import (
     expand_factors,
     is_nonneg_polynomial,
     t_number,
+    times_binomials,
 )
 
 
@@ -206,6 +207,26 @@ def test_json_round_trip():
 def test_expand_factors_rejects_unit():
     with pytest.raises(DomainError):
         expand_factors([(0, 0)])
+
+
+@given(
+    qt_polynomials(),
+    # a small range repeats pairs and holds (0, 0) and negative exponents
+    st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)), max_size=4),
+)
+@example(QtPolynomial.zero(), [(1, 0)])
+@example(1 + Q, [])
+@example(1 + Q, [(0, 0)])
+@example(Q - T, [(1, -1), (1, -1), (0, 2)])
+@settings(max_examples=300, deadline=None)
+def test_times_binomials_matches_the_generic_product(p, pairs):
+    expected = p
+    for a, b in pairs:
+        # 1 - q^a t^b as a two-term polynomial, through the generic product
+        expected = expected * (ONE - QtPolynomial.monomial(1, a, b))
+    got = times_binomials(p, pairs)
+    assert got == expected
+    assert 0 not in got._terms.values()
 
 
 @given(qt_rationals(), qt_rationals(), qt_rationals())
