@@ -17,7 +17,7 @@ from .errors import ConsistencyError, DomainError
 from .haglund import check_pair, scan
 from .macdonald import MATRIX_FIELDS, atomic_writer, k_coeff, read_matrix
 from .partitions import Partition, partition
-from .reductions import classify_bz, decompose_irreducible, f_stat, f_stat_closed
+from .reductions import decompose_irreducible, f_stat, f_stat_closed
 
 _ALL_FORMATS = ("json", "latex", "pretty")
 
@@ -97,12 +97,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_reduce(args) -> int:
     tree = decompose_irreducible(args.lam, args.mu)
-    leaves = [
-        leaf for leaf in tree.leaves() if leaf.kind == "leaf"
-    ]
-    tags = {
-        (leaf.lam, leaf.mu): classify_bz(leaf.lam, leaf.mu) for leaf in leaves
-    }
+    tags = tree.leaf_classes()
     if args.format == "pretty":
         sys.stdout.write(tree.ascii_art() + "\n")
         for (lam, mu), cls in tags.items():
@@ -143,10 +138,10 @@ def _cmd_scan(args) -> int:
     out = atomic_writer(args.out) if args.out else nullcontext(sys.stdout)
     with out as fh:
         report = scan(args.max_n, args.max_k, jobs=args.jobs)
-        obj = report.to_obj()
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        json.dump(report.to_obj(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     if args.out:
-        _emit_json({"out": args.out, "summary": obj["summary"]})
+        _emit_json({"out": args.out, "summary": report.summary()})
     return 0 if not report.violations else 2
 
 

@@ -356,19 +356,6 @@ def exact_div_binomial(p: QtPolynomial, a: int, b: int) -> QtPolynomial | None:
     return quotient if done else None
 
 
-class DivisionResult(NamedTuple):
-    """Outcome of dividing by (1-t)^m: quotient when exact, else the stall point.
-
-    ``nonnegative`` says the quotient is a polynomial with no negative
-    coefficient; it is False when the division is not exact.
-    """
-
-    quotient: QtPolynomial | None
-    exact: bool
-    divisions_done: int
-    nonnegative: bool
-
-
 # The most t-exponents one dense row of q_power_row may span.  The
 # recorded checks need at most a few thousand (degree 14 at k <= 24 about
 # 2,600); a row of 10^6 Python ints already takes tens of megabytes.
@@ -427,20 +414,9 @@ def row_polynomial(lo: int, row: tuple[int, ...]) -> QtPolynomial:
     return _wrap({(0, lo + i): c for i, c in enumerate(row) if c})
 
 
-def divide_at_q_power(p: QtPolynomial, k: int, m: int) -> DivisionResult:
-    """p(q := t^k) / (1-t)^m, exactly if possible: q_power_row as a polynomial."""
-    lo, row, done = q_power_row(p, k, m)
-    if row is None:
-        return DivisionResult(None, False, done, False)
-    return DivisionResult(row_polynomial(lo, row), True, m, row_nonnegative(lo, row))
-
-
-def divide_by_one_minus_t_power(p: QtPolynomial, m: int) -> DivisionResult:
-    """Divide p by (1-t)^m exactly if possible, keeping q: each q-row on its own."""
-    quotient, done = divide_binomial_power(p, 0, 1, m)
-    if done < m:
-        return DivisionResult(None, False, done, False)
-    return DivisionResult(quotient, True, m, is_nonneg_polynomial(quotient))
+def divide_by_one_minus_t_power(p: QtPolynomial, m: int) -> tuple[QtPolynomial, int]:
+    """divide_binomial_power at (a, b) = (0, 1): each q-row divided on its own."""
+    return divide_binomial_power(p, 0, 1, m)
 
 
 def is_nonneg_polynomial(p: QtPolynomial) -> bool:
@@ -603,10 +579,6 @@ class QtRational:
         out._num = num
         out._den = den
         return out
-
-    @classmethod
-    def from_polynomial(cls, p: QtPolynomial) -> "QtRational":
-        return cls._raw(p, ())
 
     @property
     def num(self) -> QtPolynomial:
@@ -798,8 +770,8 @@ def _coerce(value) -> QtRational:
     if isinstance(value, QtRational):
         return value
     if isinstance(value, QtPolynomial):
-        return QtRational.from_polynomial(value)
+        return QtRational._raw(value, ())
     if isinstance(value, int):
-        return QtRational.from_polynomial(QtPolynomial.from_int(value))
+        return QtRational._raw(QtPolynomial.from_int(value), ())
     return NotImplemented
 

@@ -72,6 +72,14 @@ class ReductionStep(NamedTuple):
             out.extend(child.leaves())
         return out
 
+    def leaf_classes(self) -> dict[tuple[Partition, Partition], BzClass]:
+        """classify_bz of each irreducible leaf, keyed (lam, mu), in leaf order."""
+        return {
+            (leaf.lam, leaf.mu): classify_bz(leaf.lam, leaf.mu)
+            for leaf in self.leaves()
+            if leaf.kind == "leaf"
+        }
+
     def replay(
         self,
         leaf_eval: Callable[[Partition, Partition], QtPolynomial] | None = None,
@@ -308,11 +316,7 @@ def fast_k(lam: Partition, mu: Partition) -> QtPolynomial | None:
     """k(lambda, mu) via the reduction tree with fast leaves, when every
     leaf is multiplicity-one; None otherwise, having evaluated no leaf."""
     tree = decompose_irreducible(lam, mu)
-    classes = {
-        (leaf.lam, leaf.mu): classify_bz(leaf.lam, leaf.mu)
-        for leaf in tree.leaves()
-        if leaf.kind == "leaf"
-    }
+    classes = tree.leaf_classes()
     if not all(cls.is_multiplicity_one for cls in classes.values()):
         return None
     return tree.replay(lambda a, b: fast_k_multiplicity_one(a, b, classes[a, b]))

@@ -10,6 +10,7 @@ import qtkostka
 from qtkostka import cli, macdonald
 from qtkostka.cli import dispatch
 from qtkostka.errors import ConsistencyError
+from qtkostka.haglund import scan
 from qtkostka.macdonald import MATRIX_FIELDS, build_matrices
 
 
@@ -219,6 +220,19 @@ def test_scan_to_file(capsys, tmp_path):
     report = json.loads(out_file.read_text())
     assert report["summary"]["violations"] == 0
     assert json.loads(out)["summary"] == report["summary"]
+
+
+def test_scan_report_bytes(capsys, tmp_path):
+    # the report is scan().to_obj() as indented, key-sorted JSON plus a
+    # newline, byte for byte, in a file and on stdout alike
+    want = json.dumps(scan(4, 4).to_obj(), indent=2, sort_keys=True) + "\n"
+    out_file = tmp_path / "report.json"
+    argv = ["scan", "--max-n", "4", "--max-k", "4"]
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_bytes() == want.encode()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
 
 
 def test_oracle_verify(capsys):

@@ -25,7 +25,15 @@ from qtkostka.partitions import (
     n_stat,
     partitions_of,
 )
-from qtkostka.qt import Q, T, QtPolynomial, divide_at_q_power, t_number
+from qtkostka.qt import (
+    Q,
+    T,
+    QtPolynomial,
+    q_power_row,
+    row_nonnegative,
+    row_polynomial,
+    t_number,
+)
 from qtkostka.reductions import classify_bz, decompose_irreducible
 from qtkostka.tableaux import kostka_foulkes, kostka_number
 
@@ -95,14 +103,16 @@ def test_closed_routes_match_product_formulas():
 
 
 def _assert_verdict_is_division(v, value, n):
-    # the verdict's row against the polynomial division of the same value
-    r = divide_at_q_power(value, v.k, n)
+    # the verdict's row against the division of the same value
+    lo, row, _ = q_power_row(value, v.k, n)
     where = (v.lam, v.mu, v.k, v.route)
-    assert v.quotient == r.quotient, where
-    assert v.is_polynomial == r.exact, where
-    assert v.is_nonnegative == r.nonnegative, where
-    assert v.is_zero == (r.exact and r.quotient.is_zero), where
-    want = None if r.quotient is None else r.quotient.to_obj()
+    assert (v.lo, v.row) == (lo, row), where
+    quotient = None if row is None else row_polynomial(lo, row)
+    assert v.quotient == quotient, where
+    assert v.is_polynomial == (row is not None), where
+    assert v.is_nonnegative == (row is not None and row_nonnegative(lo, row)), where
+    assert v.is_zero == (quotient is not None and quotient.is_zero), where
+    want = None if quotient is None else quotient.to_obj()
     assert v.to_obj()["quotient"] == want, where
 
 
@@ -386,8 +396,9 @@ def test_known_quotient_value():
     # quotient for ((2,1),(1^3), k=2) is t(1+t)^2(1+t+t^2)
     v = check_pair((2, 1), (1, 1, 1), 2)
     assert v.is_nonnegative
-    expected, exact = generic_quotient((2, 1), (1, 1, 1), 2)
-    assert exact and v.quotient == expected
+    lo, row, done = generic_quotient((2, 1), (1, 1, 1), 2)
+    assert row is not None and done == 3
+    assert (v.lo, v.row) == (lo, row)
     assert v.quotient == T * (1 + T) ** 2 * (1 + T + T**2)
 
 

@@ -16,12 +16,14 @@ from qtkostka.qt import (
     QtPolynomial,
     QtRational,
     binomial_poly,
-    divide_at_q_power,
     divide_binomial_power,
     divide_by_one_minus_t_power,
     exact_div_binomial,
     expand_factors,
     is_nonneg_polynomial,
+    q_power_row,
+    row_nonnegative,
+    row_polynomial,
     t_number,
     times_binomials,
 )
@@ -135,43 +137,48 @@ LOWEST_CANCELS = QtPolynomial({(1, -2): 1, (0, -1): -1, (0, 0): 1, (0, 1): -1})
 
 
 def test_divide_by_one_minus_t_power():
-    assert divide_at_q_power(1 - T**3, 0, 1) == (t_number(3), True, 1, True)
+    assert q_power_row(1 - T**3, 0, 1) == (0, (1, 1, 1), 1)
+    assert row_nonnegative(0, (1, 1, 1))
     p = T * (1 - T**2) * (1 - T)
-    assert divide_at_q_power(p, 0, 2) == (T * (1 + T), True, 2, True)
-    assert divide_at_q_power(1 + T, 0, 1) == (None, False, 0, False)
+    assert q_power_row(p, 0, 2) == (1, (1, 1), 2)
+    assert q_power_row(1 + T, 0, 1) == (0, None, 0)
     # q := t^k comes first: 1 - q is 1 - t^2 at k = 2, and 0 at k = 0
-    assert divide_at_q_power(1 - Q, 2, 1) == (1 + T, True, 1, True)
-    assert divide_at_q_power(1 - Q, 0, 3) == (0, True, 3, True)
-    assert divide_at_q_power((1 - Q) * (T - Q), 1, 2) == (0, True, 2, True)
+    assert q_power_row(1 - Q, 2, 1) == (0, (1, 1), 1)
+    assert q_power_row(1 - Q, 0, 3) == (0, (), 3)
+    assert q_power_row((1 - Q) * (T - Q), 1, 2) == (0, (), 2)
     # a negative exponent or coefficient is not nonnegative, but terms
     # that cancel under the substitution are no exponent at all
     t_inv = QtPolynomial.monomial(1, 0, -1)
-    assert divide_at_q_power(t_inv - T**2, 0, 1) == (
-        t_inv + 1 + T, True, 1, False
-    )
-    assert divide_at_q_power(T - 1, 0, 1) == (-ONE, True, 1, False)
+    assert q_power_row(t_inv - T**2, 0, 1) == (-1, (1, 1, 1), 1)
+    assert row_polynomial(-1, (1, 1, 1)) == t_inv + 1 + T
+    assert not row_nonnegative(-1, (1, 1, 1))
+    assert q_power_row(T - 1, 0, 1) == (0, (-1,), 1)
+    assert not row_nonnegative(0, (-1,))
     p = LOWEST_CANCELS
-    assert divide_at_q_power(p, 1, 1) == (ONE, True, 1, True)
+    assert q_power_row(p, 1, 1) == (0, (1,), 1)
+    assert row_nonnegative(0, (1,))
     with pytest.raises(DomainError):
-        divide_at_q_power(p, -1, 1)
+        q_power_row(p, -1, 1)
     with pytest.raises(DomainError):
-        divide_at_q_power(p, 0, -1)
+        q_power_row(p, 0, -1)
     # the bivariate division keeps q: each q-row is divided on its own
     got = divide_by_one_minus_t_power(Q * (1 - T) + 1 - T**2, 1)
-    assert got == (Q + 1 + T, True, 1, True)
-    assert divide_by_one_minus_t_power(Q + T, 1) == (None, False, 0, False)
+    assert got == (Q + 1 + T, 1)
+    assert is_nonneg_polynomial(got[0])
+    assert divide_by_one_minus_t_power(Q + T, 1) == (Q + T, 0)
 
 
 def test_dense_row_span_is_bounded():
     # 1 + q at q := t^k spans k + 1 exponents: the limit itself is served,
     # one step past it (or far past it) raises before any row is built
     k = MAX_ROW_SPAN - 1
-    assert divide_at_q_power(1 + Q, k, 0) == (
-        1 + QtPolynomial.monomial(1, 0, k), True, 0, True
-    )
+    lo, row, done = q_power_row(1 + Q, k, 0)
+    assert (lo, len(row), done) == (0, MAX_ROW_SPAN, 0)
+    assert row_polynomial(lo, row) == 1 + QtPolynomial.monomial(1, 0, k)
+    assert row_nonnegative(lo, row)
     for k in (MAX_ROW_SPAN, 10**19):
         with pytest.raises(DomainError, match=f"more than {MAX_ROW_SPAN}"):
-            divide_at_q_power(1 + Q, k, 0)
+            q_power_row(1 + Q, k, 0)
 
 
 def test_is_nonneg_polynomial():
@@ -466,16 +473,20 @@ two_row_polynomials = st.builds(
 @example(LOWEST_CANCELS, 1, 1)
 @settings(max_examples=300, deadline=None)
 def test_one_minus_t_power_matches_binomial_chain(p, k, m):
-    got = divide_at_q_power(p, k, m)
-    want, done = _reference_binomial_power(p.substitute_q_power(k), 0, 1, m)
-    assert got.divisions_done == done
-    assert got.exact == (done == m)
-    assert got.quotient == (want if done == m else None)
-    if got.exact:
-        assert 0 not in got.quotient._terms.values()
-        assert got.nonnegative == is_nonneg_polynomial(got.quotient)
-    else:
-        assert not got.nonnegative
+    lo, row, done = q_power_row(p, k, m)
+    want, want_done = _reference_binomial_power(p.substitute_q_power(k), 0, 1, m)
+    assert done == want_done
+    assert (row is None) == (done < m)
+    if row is not None:
+        quotient = row_polynomial(lo, row)
+        assert quotient == want
+        assert 0 not in quotient._terms.values()
+        # the row starts at its lowest term; the zero quotient is (0, ())
+        if want.is_zero:
+            assert (lo, row) == (0, ())
+        else:
+            assert row[0] != 0
+        assert row_nonnegative(lo, row) == is_nonneg_polynomial(want)
 
 
 @given(
