@@ -30,7 +30,7 @@ from .partitions import (
     unitriangular_inverse,
 )
 from .qt import ONE, QtPolynomial, QtRational, expand_factors, times_binomials
-from .tableaux import is_horizontal_strip, kostka_inverse, kostka_number, strip_step
+from .tableaux import chain_column, is_horizontal_strip, kostka_inverse, kostka_number
 
 CACHE_FORMAT_VERSION = 1
 
@@ -108,21 +108,13 @@ def _psi_cached(lam: Partition, mu: Partition) -> QtRational:
     return psi_strip(lam, mu)
 
 
-@cache
-def _k1_column(mu: Partition) -> dict[Partition, QtRational]:
-    """psi-sums over chains with content mu, by one strip step on mu[:-1]'s."""
-    if not mu:
-        return {(): QtRational(ONE)}
-    return strip_step(_k1_column(mu[:-1]), mu[-1], _psi_cached)
-
-
 def k1_entry(lam: Partition, mu: Partition) -> QtRational:
     """K1 coefficient: the psi-sum over SSYT(lam, mu)."""
     lam = partition(lam)
     mu = partition(mu)
     if sum(lam) != sum(mu):
         return QtRational(0)
-    return _k1_column(mu).get(lam, QtRational(0))
+    return chain_column(mu, _psi_cached).get(lam, QtRational(0))
 
 
 # -- partition-indexed matrices ---------------------------------------------
@@ -225,6 +217,8 @@ class TriangularMatrix:
         if obj.get("format_version") != CACHE_FORMAT_VERSION:
             raise DomainError("cache format version mismatch")
         n = obj["n"]
+        if type(n) is not int:
+            raise DomainError(f"cache degree {n!r} is not an int")
         if [list(p) for p in partitions_of(n)] != obj["index"]:
             raise DomainError("cache index does not match the degree")
         return cls(

@@ -199,8 +199,16 @@ class QtPolynomial:
         return [[eq, et, str(c)] for (eq, et), c in self.terms()]
 
     @classmethod
-    def from_obj(cls, obj: Iterable) -> "QtPolynomial":
-        return cls({(int(eq), int(et)): int(c) for eq, et, c in obj})
+    def from_obj(cls, obj: list) -> "QtPolynomial":
+        """The inverse of ``to_obj``: a term with a non-int exponent or a
+        non-string coefficient, or a repeated exponent pair, is a DomainError."""
+        terms = {
+            (eq, et): int(c) for eq, et, c in obj
+            if type(eq) is type(et) is int and type(c) is str
+        }
+        if len(terms) != len(obj):
+            raise DomainError("malformed or repeated term")
+        return cls(terms)
 
     def _term_strings(self, mul: str, pow_open: str, pow_close: str) -> Iterator[str]:
         for (eq, et), c in self.terms():
@@ -434,11 +442,6 @@ class BinomialFactor(NamedTuple):
     multiplicity: int
 
 
-def _factor_order(f: tuple[int, int]) -> tuple[int, int, int]:
-    a, b = f
-    return (a + b, a, b)
-
-
 def _normalize_factors(factors: Iterable) -> tuple[BinomialFactor, ...]:
     counts: dict[tuple[int, int], int] = {}
     for f in factors:
@@ -455,7 +458,7 @@ def _normalize_factors(factors: Iterable) -> tuple[BinomialFactor, ...]:
 def _sorted_factors(counts: dict[ExponentPair, int]) -> tuple[BinomialFactor, ...]:
     return tuple(
         BinomialFactor(a, b, counts[(a, b)])
-        for (a, b) in sorted(counts, key=_factor_order)
+        for (a, b) in sorted(counts, key=_grading_key)
     )
 
 
@@ -735,9 +738,13 @@ class QtRational:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "QtRational":
-        return cls._raw(
-            QtPolynomial.from_obj(obj["num"]), _normalize_factors(obj.get("den", ()))
-        )
+        """The inverse of ``to_obj``: a denominator factor with a non-int
+        field, or a repeated (a, b), is a DomainError."""
+        den = obj["den"]
+        pairs = {(a, b) for a, b, m in den if type(a) is type(b) is type(m) is int}
+        if len(pairs) != len(den):
+            raise DomainError("malformed or repeated denominator factor")
+        return cls._raw(QtPolynomial.from_obj(obj["num"]), _normalize_factors(den))
 
     def _den_str(self, fmt: str) -> str:
         pieces = []

@@ -296,20 +296,17 @@ def fast_k_multiplicity_one(
     if cls.tag == "dual_row_case":
         return closed_form_column(lam, sum(lam))
     if cls.tag == "rectangle_case":
-        mu_c = complement(mu, cls.m, cls.n + 1)
-        base = closed_form_row(cls.m, mu_c)
-        ratio = QtRational(
-            times_binomials(base, c_prime_factors(mu)), c_prime_factors(mu_c)
-        )
-        return ratio.as_polynomial()
-    if cls.tag == "dual_rectangle_case":
+        small = complement(mu, cls.m, cls.n + 1)
+        base = closed_form_row(cls.m, small)
+    elif cls.tag == "dual_rectangle_case":
         lam_c = conjugate(complement(conjugate(lam), cls.m, cls.n + 1))
         base = closed_form_column(lam_c, cls.m)
-        ratio = QtRational(
-            times_binomials(base, c_prime_factors(mu)), c_prime_factors((1,) * cls.m)
-        )
-        return ratio.as_polynomial()
-    raise DomainError(f"no fast path for tag {cls.tag}")
+        small = (1,) * cls.m
+    else:
+        raise DomainError(f"no fast path for tag {cls.tag}")
+    return QtRational(
+        times_binomials(base, c_prime_factors(mu)), c_prime_factors(small)
+    ).as_polynomial()
 
 
 def fast_k(lam: Partition, mu: Partition) -> QtPolynomial | None:

@@ -154,29 +154,30 @@ def enumerate_ssyt(shape: Partition, content: Sequence[int]) -> Iterator[Ssyt]:
     yield from grow([()], 0)
 
 
-def strip_step(
-    column: dict[Partition, _W], step: int,
-    weight: Callable[[Partition, Partition], _W],
+@cache
+def chain_column(
+    content: tuple[int, ...], weight: Callable[[Partition, Partition], _W]
 ) -> dict[Partition, _W]:
-    """Extend each shape of ``column`` by every horizontal strip of size
-    ``step``, summing ``acc * weight(bigger, shape)`` per bigger shape.
+    """Weighted sums over the horizontal-strip chains of the given content,
+    keyed by last shape: each strip weighs ``weight(bigger, shape)``.
 
-    Terms are added in a fixed order, the first one stored as is, so
-    non-canonical sums come out in the same form.
+    Each shape of the ``content[:-1]`` column is extended by every strip
+    of size ``content[-1]``; terms are added in a fixed order, the first
+    one stored as is, so non-canonical sums come out in the same form.
     """
+    if not content:
+        return {(): weight((), ())}
     out: dict[Partition, _W] = {}
-    for shape, acc in column.items():
-        for bigger in horizontal_strip_extensions(shape, step):
+    for shape, acc in chain_column(content[:-1], weight).items():
+        for bigger in horizontal_strip_extensions(shape, content[-1]):
             term = acc * weight(bigger, shape)
             out[bigger] = out[bigger] + term if bigger in out else term
     return out
 
 
-@cache
-def _kostka_column(content: tuple[int, ...]) -> dict[Partition, int]:
-    if not content:
-        return {(): 1}
-    return strip_step(_kostka_column(content[:-1]), content[-1], lambda b, s: 1)
+def _count(bigger: Partition, shape: Partition) -> int:
+    """The unit weight: ``chain_column`` under it counts the chains."""
+    return 1
 
 
 def kostka_number(shape: Partition, content: Sequence[int]) -> int:
@@ -185,7 +186,7 @@ def kostka_number(shape: Partition, content: Sequence[int]) -> int:
     if any(c < 0 for c in content):
         raise DomainError(f"negative content {content}")
     # a zero part adds no strip; dropping it keeps the recursion shallow
-    return _kostka_column(tuple(c for c in content if c)).get(partition(shape), 0)
+    return chain_column(tuple(c for c in content if c), _count).get(partition(shape), 0)
 
 
 @cache
@@ -193,7 +194,7 @@ def kostka_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     """The inverse of the integer Kostka matrix K(lam, mu) of degree n,
     as int rows over the descending-lex partitions of n."""
     parts = partitions_of(n)
-    kostka = [[_kostka_column(mu).get(lam, 0) for mu in parts] for lam in parts]
+    kostka = [[chain_column(mu, _count).get(lam, 0) for mu in parts] for lam in parts]
     return tuple(map(tuple, unitriangular_inverse(kostka, 0)))
 
 

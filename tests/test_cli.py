@@ -149,6 +149,66 @@ def test_deeply_nested_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "k_n2.json").read_text() == good
 
 
+def _set(field, i, j, value):
+    """A damage that sets entry[field][i][j] in the k1 entry (2)/(1,1),
+    stored as num [[0,0,"1"], [0,1,"-1"], [1,0,"1"], [1,1,"-1"]] over
+    den [[1,1,1]]."""
+
+    def damage(entry):
+        entry[field][i][j] = value
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _set("den", 0, 0, 1.0),
+        _set("den", 0, 1, True),
+        _set("den", 0, 2, 1.0),
+        lambda entry: entry["den"].append([1, 1, 1]),
+        lambda entry: entry.pop("den"),
+        _set("num", 1, 1, 0.5),
+        _set("num", 2, 0, False),
+        _set("num", 0, 2, 1),
+        lambda entry: entry["num"].append([0, 0, "2"]),
+        lambda entry: entry["num"].append([0, 0, "1"]),
+    ],
+    ids=[
+        "den_float_exponent", "den_bool_exponent", "den_float_multiplicity",
+        "den_repeated_factor", "den_missing", "num_float_exponent", "num_bool_exponent",
+        "num_int_coefficient", "num_repeated_term", "num_repeated_equal_term",
+    ],
+)
+def test_type_damaged_cache_file_is_rejected_and_rewritten(
+    capsys, tmp_path, monkeypatch, damage
+):
+    # the reader takes only what to_obj writes: int exponents and
+    # multiplicities, str coefficients, each exponent pair once
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    fresh = _matrix_call(capsys, tmp_path, 2, "k1")
+    path = tmp_path / "k1_n2.json"
+    good = path.read_text()
+    obj = json.loads(good)
+    damage(obj["entries"][0][1])
+    path.write_text(json.dumps(obj))
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    assert _matrix_call(capsys, tmp_path, 2, "k1") == fresh
+    assert path.read_text() == good
+
+
+def test_cache_file_with_a_bool_degree_is_rewritten(capsys, tmp_path, monkeypatch):
+    # true == 1, so the file passes for degree 1 until its type is read
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    fresh = _matrix_call(capsys, tmp_path, 1, "k1")
+    path = tmp_path / "k1_n1.json"
+    good = path.read_text()
+    path.write_text(good.replace('"n": 1', '"n": true'))
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    assert _matrix_call(capsys, tmp_path, 1, "k1") == fresh
+    assert path.read_text() == good
+
+
 def test_matrix_golden_from_disk(capsys, tmp_path, monkeypatch):
     # the path every warm call takes: one cache file, no bundle in memory
     build_matrices(6, cache_dir=str(tmp_path))

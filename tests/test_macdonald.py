@@ -68,9 +68,10 @@ def test_k1_entry_matches_direct_psi_sum():
                 assert k1_entry(lam, mu) == direct
 
 
-def test_columns_are_one_strip_step_on_the_prefix_column(monkeypatch):
+def test_columns_extend_the_cached_prefix_column(monkeypatch):
     # with the column of mu[:-1] cached, the column of mu calls
-    # horizontal_strip_extensions once per shape of that prefix column
+    # horizontal_strip_extensions once per shape of that prefix column,
+    # under the psi weight of K1 and the unit weight of the Kostka numbers
     calls = []
     extensions = tableaux.horizontal_strip_extensions
 
@@ -78,17 +79,17 @@ def test_columns_are_one_strip_step_on_the_prefix_column(monkeypatch):
         calls.append(base)
         return extensions(base, strip_size, limit)
 
-    for column, mu in [
-        (macdonald._k1_column, (3, 2, 2, 1)),
-        (tableaux._kostka_column, (1, 3, 2, 2)),
+    tableaux.chain_column.cache_clear()
+    for weight, mu in [
+        (macdonald._psi_cached, (3, 2, 2, 1)),
+        (tableaux._count, (1, 3, 2, 2)),
     ]:
-        column.cache_clear()
-        prefix = column(mu[:-1])
+        prefix = tableaux.chain_column(mu[:-1], weight)
         monkeypatch.setattr(tableaux, "horizontal_strip_extensions", counting)
         calls.clear()
-        column(mu)
+        tableaux.chain_column(mu, weight)
         monkeypatch.undo()
-        assert sorted(calls) == sorted(prefix), column.__name__
+        assert sorted(calls) == sorted(prefix), weight.__name__
 
 
 def test_normalization_examples():
