@@ -355,7 +355,8 @@ def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
             bundle = _compute_matrices(n)
         _memory_cache[n] = bundle
         for name, fh, mat in zip(MATRIX_FIELDS, files, bundle):
-            json.dump(mat.to_obj(name), fh, sort_keys=True)
+            # one text: only a one-shot dumps takes the C encoder
+            fh.write(json.dumps(mat.to_obj(name), sort_keys=True))
     return bundle
 
 
@@ -379,8 +380,20 @@ def read_matrix(n: int, which: str, cache_dir: str) -> TriangularMatrix:
 @cache
 def _j_entry(mu: Partition, nu: Partition) -> QtPolynomial:
     """J(mu, nu) = c_mu K1(mu, nu), an integer polynomial, for nu <= mu."""
-    # K1 is unitriangular: the diagonal needs no K1 column
-    k1 = k1_entry(mu, nu) if nu != mu else QtRational(1)
+    # K1 is unitriangular: the diagonal needs no K1 column.  Off it, the
+    # entry is the last strip step on the nu[:-1] column, summed in that
+    # column's order: the terms and order of chain_column(nu)[mu], read
+    # without building nu's whole column
+    if nu == mu:
+        k1 = QtRational(1)
+    else:
+        below = chain_column(nu[:-1], _psi_cached)
+        strips = [rho for rho in below if is_horizontal_strip(mu, rho)]
+        k1 = ordered_dot(
+            [below[rho] for rho in strips],
+            [_psi_cached(mu, rho) for rho in strips],
+            QtRational(0),
+        )
     # c_mu already holds most of the entry's denominator: cancel those
     # factors as multisets, and divide only by the ones left over
     c = Counter(c_factors(mu))
@@ -396,7 +409,10 @@ def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
     # sum over nu of J(mu', nu) times the integer K^-1(nu, lam').  Both
     # are triangular in dominance, so only lam' <= nu <= mu' counts, and
     # k vanishes unless mu <= lam.
-    lam_c, mu_c = conjugate(partition(lam)), conjugate(partition(mu))
+    lam, mu = partition(lam), partition(mu)
+    if sum(lam) != sum(mu):
+        return QtPolynomial.zero()
+    lam_c, mu_c = conjugate(lam), conjugate(mu)
     n = sum(lam_c)
     column = partitions_of(n).index(lam_c)
     total = QtPolynomial.zero()

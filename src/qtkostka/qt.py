@@ -598,9 +598,6 @@ class QtRational:
     def __bool__(self) -> bool:
         return not self._num.is_zero
 
-    def den_expanded(self) -> QtPolynomial:
-        return expand_factors(self._den)
-
     def is_polynomial(self) -> bool:
         return not self._den
 
@@ -723,10 +720,6 @@ class QtRational:
             self._num.swap_qt(),
             [(f.b, f.a, f.multiplicity) for f in self._den],
         )
-
-    def q_one_safe(self) -> bool:
-        """True when no denominator factor vanishes at q = 1 (i.e. no b = 0)."""
-        return all(f.b != 0 for f in self._den)
 
     # -- presentation ------------------------------------------------------
 

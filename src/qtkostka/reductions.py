@@ -238,42 +238,24 @@ def classify_bz(lam: Partition, mu: Partition) -> BzClass:
 # -- complementation transport -------------------------------------------------
 
 
-class ComplementTransport(NamedTuple):
-    """A complementary pair inside (m^n); entries transport unchanged."""
-
-    lam: Partition
-    mu: Partition
-    lam_c: Partition
-    mu_c: Partition
-    m: int
-    n: int
-
-    @property
-    def pair(self) -> tuple[Partition, Partition]:
-        return (self.lam_c, self.mu_c)
-
-
 def transport_complement(
     lam: Partition, mu: Partition, m: int, n: int
-) -> ComplementTransport:
-    lam = partition(lam)
-    mu = partition(mu)
-    return ComplementTransport(
-        lam, mu, complement(lam, m, n), complement(mu, m, n), m, n
-    )
+) -> tuple[Partition, Partition]:
+    """The complementary pair inside (m^n); entries transport unchanged."""
+    return complement(partition(lam), m, n), complement(partition(mu), m, n)
 
 
 def verify_complement_identity(
     lam: Partition, mu: Partition, m: int, n: int
 ) -> bool:
     """Check all five matrix families on one complementary pair of entries."""
-    tr = transport_complement(lam, mu, m, n)
+    lam_c, mu_c = transport_complement(lam, mu, m, n)
     if sum(lam) != sum(mu):
-        return sum(tr.lam_c) != sum(tr.mu_c)  # both entries vacuously zero
+        return sum(lam_c) != sum(mu_c)  # both entries vacuously zero
     big = build_matrices(sum(lam))
-    small = build_matrices(sum(tr.lam_c))
+    small = build_matrices(sum(lam_c))
     return all(
-        m_big.entry(lam, mu) == m_small.entry(tr.lam_c, tr.mu_c)
+        m_big.entry(lam, mu) == m_small.entry(lam_c, mu_c)
         for m_big, m_small in zip(big, small)
     )
 
@@ -354,9 +336,6 @@ class FmuComplementCheck(NamedTuple):
     """f_mu - f_(mu^c) inside (m^(n+1)), with the telescoped closed
     form attached when its hypotheses hold."""
 
-    mu: Partition
-    m: int
-    n: int
     difference: QtPolynomial
     closed_form: QtPolynomial | None
     hypotheses_hold: bool
@@ -382,9 +361,6 @@ def check_fmu_complement(mu: Partition, m: int, n: int) -> FmuComplementCheck:
                 raise ConsistencyError("1-q must divide q^a - q^b")
             closed = closed + QtPolynomial.monomial(1, 0, j) * quotient
     return FmuComplementCheck(
-        mu=mu,
-        m=m,
-        n=n,
         difference=difference,
         closed_form=closed,
         hypotheses_hold=hypotheses,

@@ -189,6 +189,36 @@ def test_k_coeff_matches_bundle():
                 assert k_coeff(lam, mu) == expected, (lam, mu)
 
 
+def test_k_coeff_builds_no_psi_column_of_its_degree(monkeypatch):
+    # an off-diagonal J(mu', nu) is one strip step on the nu[:-1] column,
+    # so no psi column of a content of the pair's degree is built
+    lam, mu = (4, 2), (2, 2, 1, 1)
+    want = k_coeff(lam, mu)
+    macdonald._j_entry.cache_clear()
+    tableaux.chain_column.cache_clear()
+    built = []
+    real = tableaux.chain_column
+
+    def spy(content, weight):
+        if weight is macdonald._psi_cached:
+            built.append(content)
+        return real(content, weight)
+
+    monkeypatch.setattr(tableaux, "chain_column", spy)
+    monkeypatch.setattr(macdonald, "chain_column", spy)
+    assert k_coeff(lam, mu) == want
+    assert built
+    assert all(sum(content) < 6 for content in built), built
+
+
+def test_k_coeff_of_unequal_sizes_is_zero_before_any_work(monkeypatch):
+    def no_inverse(n):
+        raise AssertionError(f"built kostka_inverse({n})")
+
+    monkeypatch.setattr(macdonald, "kostka_inverse", no_inverse)
+    assert k_coeff((18,), (1,)) == 0
+
+
 def test_kostka_inverse_is_an_integer_inverse():
     for n in range(9):
         parts = partitions_of(n)
@@ -306,10 +336,10 @@ def test_q_one_identity_where_safe():
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 entry = b.k2.entry(lam, mu)
-                if not entry.q_one_safe():
+                if not all(f.b for f in entry.den):
                     continue
                 num_q1 = entry.num.swap_qt().at_t_one().swap_qt()
-                den_q1 = entry.den_expanded().swap_qt().at_t_one().swap_qt()
+                den_q1 = expand_factors(entry.den).swap_qt().at_t_one().swap_qt()
                 target = kinv.entry(conjugate(mu), conjugate(lam))
                 assert num_q1 == target.as_polynomial() * den_q1
                 checked += 1
@@ -418,11 +448,17 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     texts = _fill_cache(tmp_path, monkeypatch)
     (tmp_path / "k1_n3.json").unlink()
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write("{")
-        raise OSError("disk full")
+    # the first file's text reaches its temp file, the second's fails
+    dumps = json.dumps
+    calls = []
 
-    monkeypatch.setattr(macdonald.json, "dump", failing_dump)
+    def failing_dumps(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) > 1:
+            raise OSError("disk full")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(macdonald.json, "dumps", failing_dumps)
     with pytest.raises(OSError):
         build_matrices(3, cache_dir=str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
