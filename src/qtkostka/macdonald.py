@@ -30,7 +30,7 @@ from .partitions import (
     unitriangular_inverse,
 )
 from .qt import ONE, QtPolynomial, QtRational, expand_factors, times_binomials
-from .tableaux import chain_column, is_horizontal_strip, kostka_inverse, kostka_number
+from .tableaux import chain_column, chain_entry, is_horizontal_strip, kostka_inverse, kostka_number
 
 CACHE_FORMAT_VERSION = 1
 
@@ -380,20 +380,10 @@ def read_matrix(n: int, which: str, cache_dir: str) -> TriangularMatrix:
 @cache
 def _j_entry(mu: Partition, nu: Partition) -> QtPolynomial:
     """J(mu, nu) = c_mu K1(mu, nu), an integer polynomial, for nu <= mu."""
-    # K1 is unitriangular: the diagonal needs no K1 column.  Off it, the
-    # entry is the last strip step on the nu[:-1] column, summed in that
-    # column's order: the terms and order of chain_column(nu)[mu], read
-    # without building nu's whole column
-    if nu == mu:
-        k1 = QtRational(1)
-    else:
-        below = chain_column(nu[:-1], _psi_cached)
-        strips = [rho for rho in below if is_horizontal_strip(mu, rho)]
-        k1 = ordered_dot(
-            [below[rho] for rho in strips],
-            [_psi_cached(mu, rho) for rho in strips],
-            QtRational(0),
-        )
+    # K1 is unitriangular: the diagonal needs no K1 column.  Off it, one
+    # strip step on the cached nu[:-1] column, so nu's whole column is
+    # not built
+    k1 = chain_entry(nu, _psi_cached, mu, QtRational(0)) if nu != mu else QtRational(1)
     # c_mu already holds most of the entry's denominator: cancel those
     # factors as multisets, and divide only by the ones left over
     c = Counter(c_factors(mu))

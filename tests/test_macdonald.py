@@ -92,6 +92,19 @@ def test_columns_extend_the_cached_prefix_column(monkeypatch):
         assert sorted(calls) == sorted(prefix), weight.__name__
 
 
+def test_chain_entry_is_the_column_entry():
+    # one strip step on the prefix column gives each entry of the column,
+    # zero where the column has no such shape
+    for weight, zero, contents in [
+        (macdonald._psi_cached, QtRational(0), [(3, 2, 1), (2, 2, 1, 1), (4, 2)]),
+        (tableaux._count, 0, [(1, 3, 2), (2, 1, 2, 1), (2, 4)]),
+    ]:
+        for content in contents:
+            column = tableaux.chain_column(content, weight)
+            for shape in partitions_of(sum(content)):
+                got = tableaux.chain_entry(content, weight, shape, zero)
+                assert got == column.get(shape, zero), (content, shape)
+
 def test_normalization_examples():
     nc = normalization((1,))
     assert nc.c == 1 - T
@@ -448,7 +461,8 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     texts = _fill_cache(tmp_path, monkeypatch)
     (tmp_path / "k1_n3.json").unlink()
 
-    # the first file's text reaches its temp file, the second's fails
+    # the first file's temp file gets a part of its text, then the
+    # second's text fails: a temp file moved into place would show
     dumps = json.dumps
     calls = []
 
@@ -456,7 +470,7 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
         calls.append(obj)
         if len(calls) > 1:
             raise OSError("disk full")
-        return dumps(obj, **kwargs)
+        return dumps(obj, **kwargs)[:1]
 
     monkeypatch.setattr(macdonald.json, "dumps", failing_dumps)
     with pytest.raises(OSError):
