@@ -12,11 +12,14 @@ arithmetic with qt.py.
 Each check is a family of identities ``lhs = rhs`` between integer
 polynomials in q, t, cleared of denominators.  One evaluation per side
 at the Kronecker point t = T, q = T^D decides each identity exactly: T
-is one more than twice an l1 bound on ``lhs - rhs`` and D exceeds its
-t-degree, so every monomial lands on its own power of T with a
-coefficient below T/2.  The bound comes from evaluating the same
-expressions on ``_Bound``s, where every coefficient is replaced by its
-absolute value and every binomial 1 - q^a t^b by 2.
+is a power of two above twice an l1 bound on ``lhs - rhs`` and D
+exceeds its t-degree, so every monomial lands on its own power of T
+with a coefficient below T/2.  A monomial is then a shift, and a factor
+1 - q^a t^b is a shift and a subtraction.  The bound comes from
+evaluating the same expressions on ``_Bound``s, where every coefficient
+is replaced by its absolute value and every binomial by 2.  Each family
+is decided at the point its own bound picks, so a family of small
+identities does not pay for the largest one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -77,14 +80,15 @@ def powersum_in_monomials(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def kronecker_point(bound: int, t_degree: int) -> tuple[int, int]:
-    """(q, t) = (T^D, T) with T = 2 bound + 1 and D = t_degree + 1.
+    """(q, t) = (T^D, T) with T = 2^(bit_length(bound) + 1), the smallest
+    power of two above 2 bound, and D = t_degree + 1.
 
     An integer polynomial with nonnegative exponents, l1 norm at most
     ``bound`` and t-degree at most ``t_degree`` vanishes there only if
     it is 0: its value is sum c_ab T^(aD + b) with distinct powers and
     every |c_ab| < T/2.
     """
-    t = 2 * bound + 1
+    t = 1 << (bound.bit_length() + 1)
     return t ** (t_degree + 1), t
 
 
@@ -120,30 +124,30 @@ class _Bound:
         return _Bound(sum(abs(c) for _, c in terms), max(b for (_, b), _ in terms))
 
     @staticmethod
-    def binomial(a: int, b: int) -> "_Bound":
-        return _Bound(2, b)
+    def times_binomials(x: "_Bound | int", pairs) -> "_Bound":
+        """x prod (1 - q^a t^b) over (a, b) in ``pairs``."""
+        x = _Bound(0) + x
+        for _, b in pairs:
+            x = _Bound(2 * x.norm, x.t_degree + b)
+        return x
 
 
 class _Point:
-    """Leaves evaluated at the Kronecker point of a bound."""
+    """Leaves evaluated at the Kronecker point of a bound: q and t are
+    powers of two, so the monomial q^a t^b is one shift of 1."""
 
     def __init__(self, bound: _Bound):
-        self.q, self.t = kronecker_point(bound.norm, bound.t_degree)
-        self._stride = bound.t_degree + 1
-        self._powers: dict[int, int] = {}
-
-    def _monomial(self, a: int, b: int) -> int:
-        k = a * self._stride + b
-        power = self._powers.get(k)
-        if power is None:
-            power = self._powers[k] = self.t**k
-        return power
+        q, self.t = kronecker_point(bound.norm, bound.t_degree)
+        self._q_shift, self._t_shift = q.bit_length() - 1, self.t.bit_length() - 1
 
     def poly(self, terms) -> int:
-        return sum(c * self._monomial(a, b) for (a, b), c in terms)
+        return sum(c << (a * self._q_shift + b * self._t_shift) for (a, b), c in terms)
 
-    def binomial(self, a: int, b: int) -> int:
-        return 1 - self._monomial(a, b)
+    def times_binomials(self, x: int, pairs) -> int:
+        """x prod (1 - q^a t^b) over (a, b) in ``pairs``."""
+        for a, b in pairs:
+            x -= x << (a * self._q_shift + b * self._t_shift)
+        return x
 
 
 def pipeline_k1(n: int):
@@ -192,19 +196,15 @@ class _Degree(NamedTuple):
     w: list
 
 
-def _binomials(ring, counts: Counter):
-    """prod (1 - q^a t^b)^m over the multiset ``counts`` of (a, b)."""
-    return prod(ring.binomial(a, b) for a, b in counts.elements())
-
-
 def _degree(ring, n: int, k1, m_rows, s) -> _Degree:
     """K1 at degree n cleared of denominators, with leaves from ``ring``."""
     parts = partitions_of(n)
     e_counts = Counter({(0, k): n // k for k in range(1, n + 1)})
+    # w_rho / z_rho as its binomials: prod_i (1 - q^rho_i) times E with
+    # each 1 - t^rho_i taken out
     weights = [
-        zee(rho)
-        * prod(ring.binomial(part, 0) for part in rho)
-        * _binomials(ring, e_counts - Counter((0, part) for part in rho))
+        [(part, 0) for part in rho]
+        + list((e_counts - Counter((0, part) for part in rho)).elements())
         for rho in parts
     ]
     lcms, numerators, v, w = [], [], [], []
@@ -213,9 +213,9 @@ def _degree(ring, n: int, k1, m_rows, s) -> _Degree:
         top = Counter()
         for den in dens:
             top |= den
-        lcms.append(_binomials(ring, top))
+        lcms.append(ring.times_binomials(1, top.elements()))
         numerators.append([
-            ring.poly(entry.num.terms()) * _binomials(ring, top - den)
+            ring.times_binomials(ring.poly(entry.num.terms()), (top - den).elements())
             if entry.num.terms() else 0
             for entry, den in zip(row, dens)
         ])
@@ -224,8 +224,11 @@ def _degree(ring, n: int, k1, m_rows, s) -> _Degree:
             for r in range(len(parts))
         ]
         v.append(v_row)
-        w.append([x * y for x, y in zip(v_row, weights)])
-    e = _binomials(ring, e_counts)
+        w.append([
+            ring.times_binomials(zee(rho) * x, pairs)
+            for rho, x, pairs in zip(parts, v_row, weights)
+        ])
+    e = ring.times_binomials(1, e_counts.elements())
     return _Degree(ring, parts, m_rows, s, e, lcms, numerators, v, w)
 
 
@@ -250,22 +253,21 @@ def _orthogonality_identities(d: _Degree):
             yield sum(x * y for x, y in zip(v_row, w_row)), 0
 
 
-def _cells_product(ring, lam: Partition, arm_shift: int, leg_shift: int):
-    return prod(
-        ring.binomial(st.arm + arm_shift, st.leg + leg_shift)
-        for st in (diagram_stats(lam, x) for x in cells(lam))
-    )
+def _hooks(lam: Partition, arm_shift: int, leg_shift: int) -> list:
+    """(arm + arm_shift, leg + leg_shift) over the cells of lam."""
+    stats = (diagram_stats(lam, x) for x in cells(lam))
+    return [(st.arm + arm_shift, st.leg + leg_shift) for st in stats]
 
 
 def _normalization_identities(d: _Degree):
     """c_lam <P_lam, P_lam> = c'_lam, for c_lam = prod (1 - q^arm t^(leg+1))
     and c'_lam = prod (1 - q^(arm+1) t^leg) over the cells."""
     for lam, v_row, w_row, lcm_row in zip(d.parts, d.v, d.w, d.lcms):
-        c = _cells_product(d.ring, lam, 0, 1)
-        c_prime = _cells_product(d.ring, lam, 1, 0)
+        pairing = sum(x * y for x, y in zip(v_row, w_row))
+        cleared = d.s * d.s * lcm_row * lcm_row * d.e
         yield (
-            c * sum(x * y for x, y in zip(v_row, w_row)),
-            c_prime * d.s * d.s * lcm_row * lcm_row * d.e,
+            d.ring.times_binomials(pairing, _hooks(lam, 0, 1)),
+            d.ring.times_binomials(cleared, _hooks(lam, 1, 0)),
         )
 
 
@@ -273,45 +275,41 @@ def _plethysm_identities(d: _Degree):
     """h_n[X (1-t)/(1-q)] = b_(n) P_(n), one power-sum coefficient at a
     time: z_rho^-1 prod_i (1 - t^rho_i) / (1 - q^rho_i) on the left."""
     ring, row = d.ring, d.parts[0]
-    c = _cells_product(ring, row, 0, 1)
-    c_prime = _cells_product(ring, row, 1, 0)
+    c, c_prime = _hooks(row, 0, 1), _hooks(row, 1, 0)
     for rho, value in zip(d.parts, d.v[0]):
         yield (
-            prod(ring.binomial(0, part) for part in rho) * c_prime * d.s * d.lcms[0],
-            zee(rho) * prod(ring.binomial(part, 0) for part in rho) * c * value,
+            ring.times_binomials(d.s * d.lcms[0], [(0, part) for part in rho] + c_prime),
+            ring.times_binomials(zee(rho) * value, [(part, 0) for part in rho] + c),
         )
 
 
-_FAMILIES = (
-    _k1_identities,
-    _orthogonality_identities,
-    _normalization_identities,
-    _plethysm_identities,
-)
-
-
 @cache
-def _certified_degree(n: int) -> _Degree | None:
-    """K1 at degree n at one Kronecker point that decides every identity
-    of every family; None if a K1 numerator has a negative exponent."""
+def _bounded_degree(n: int) -> tuple[object, _Degree] | None:
+    """The pipeline's K1 at degree n and its ``_Bound`` evaluation, from
+    which each family sizes its own point; None if a K1 numerator has a
+    negative exponent."""
     k1 = pipeline_k1(n)
     terms = [term for row in k1.entries for entry in row for term in entry.num.terms()]
     if any(a < 0 or b < 0 for (a, b), _ in terms):
         return None
     m_rows, s = _inverse_transition(n)
-    bounds = _degree(_Bound, n, k1, m_rows, s)
-    norm, t_degree = 0, 0
-    for family in _FAMILIES:
-        for lhs, rhs in family(bounds):
-            both = _Bound(0) + lhs + rhs
-            norm = max(norm, both.norm)
-            t_degree = max(t_degree, both.t_degree)
-    return _degree(_Point(_Bound(norm, t_degree)), n, k1, m_rows, s)
+    return k1, _degree(_Bound, n, k1, m_rows, s)
 
 
 def _holds(family, n: int) -> bool:
-    d = _certified_degree(n)
-    return d is not None and all(lhs == rhs for lhs, rhs in family(d))
+    """Every identity of ``family`` at degree n, decided at the Kronecker
+    point that the family's own bound picks."""
+    setup = _bounded_degree(n)
+    if setup is None:
+        return False
+    k1, bounds = setup
+    norm, t_degree = 0, 0
+    for lhs, rhs in family(bounds):
+        both = _Bound(0) + lhs + rhs
+        norm = max(norm, both.norm)
+        t_degree = max(t_degree, both.t_degree)
+    d = _degree(_Point(_Bound(norm, t_degree)), n, k1, bounds.m_rows, bounds.s)
+    return all(lhs == rhs for lhs, rhs in family(d))
 
 
 def check_k1_match(n: int) -> bool:

@@ -427,13 +427,6 @@ def divide_by_one_minus_t_power(p: QtPolynomial, m: int) -> tuple[QtPolynomial, 
     return divide_binomial_power(p, 0, 1, m)
 
 
-def is_nonneg_polynomial(p: QtPolynomial) -> bool:
-    """All coefficients >= 0 and all exponents >= 0."""
-    return all(
-        c >= 0 and eq >= 0 and et >= 0 for (eq, et), c in p._terms.items()
-    )
-
-
 class BinomialFactor(NamedTuple):
     """(1 - q^a t^b)^multiplicity with (a, b) != (0, 0)."""
 

@@ -7,6 +7,7 @@ exact.
 
 import time
 
+from helpers import is_nonneg_polynomial
 from qtkostka.cli import oracle_verify_degree
 from qtkostka.macdonald import (
     build_matrices,
@@ -22,7 +23,7 @@ from qtkostka.partitions import (
     dominance_leq,
     partitions_of,
 )
-from qtkostka.qt import expand_factors, is_nonneg_polynomial
+from qtkostka.qt import expand_factors
 from qtkostka.reductions import (
     check_fmu_complement,
     classify_bz,

@@ -34,10 +34,10 @@ def substitute_k1(monkeypatch):
 
     def substitute(matrix):
         monkeypatch.setattr(oracle, "pipeline_k1", lambda _n: matrix)
-        oracle._certified_degree.cache_clear()
+        oracle._bounded_degree.cache_clear()
 
     yield substitute
-    oracle._certified_degree.cache_clear()
+    oracle._bounded_degree.cache_clear()
 
 
 def flags(n: int) -> dict[str, bool]:
@@ -172,6 +172,38 @@ def test_k1_match_reads_the_diagonal_and_the_upper_triangle(substitute_k1):
     assert not check_k1_match(3)
 
 
+def test_each_family_is_decided_at_its_own_point(monkeypatch):
+    # t of the point each check evaluates at, against the point sized
+    # from that family's bounds alone
+    seen = []
+    degree = oracle._degree
+
+    def spy(ring, *args):
+        if isinstance(ring, oracle._Point):
+            seen.append(ring.t)
+        return degree(ring, *args)
+
+    monkeypatch.setattr(oracle, "_degree", spy)
+    n = 5
+    _, bounds = oracle._bounded_degree(n)
+    families = {
+        "k1_match": oracle._k1_identities,
+        "orthogonality": oracle._orthogonality_identities,
+        "normalization": oracle._normalization_identities,
+        "qn_plethysm": oracle._plethysm_identities,
+    }
+    points = {}
+    for name, check in CHECKS.items():
+        seen.clear()
+        assert check(n)
+        both = [oracle._Bound(0) + lhs + rhs for lhs, rhs in families[name](bounds)]
+        norm = max(bound.norm for bound in both)
+        t_degree = max(bound.t_degree for bound in both)
+        assert seen == [kronecker_point(norm, t_degree)[1]], name
+        points[name] = seen[0]
+    assert points["orthogonality"] == 2**50 < points["normalization"] == 2**57
+
+
 def test_negative_exponent_fails_every_check(substitute_k1):
     # K1((2,1), (1,1,1)) over t: outside the row of P_(3), which is all
     # the plethysm reads, so only the exponent check can fail it
@@ -211,7 +243,7 @@ def test_kronecker_point_beats_a_naive_point():
     # q - t^2 vanishes at (4, 2) but not at its certified point
     terms = {(1, 0): 1, (0, 2): -1}
     assert _at(terms, (4, 2)) == 0
-    assert kronecker_point(2, 2) == (125, 5)
+    assert kronecker_point(2, 2) == (512, 8)
     assert _at(terms, kronecker_point(2, 2)) != 0
 
 
@@ -239,10 +271,10 @@ def test_bounds_and_point_follow_the_arithmetic(f, g, a, b):
 
     def evaluate(ring):
         terms_f, terms_g = sorted(f.items()), sorted(g.items())
-        return ring.poly(terms_f) * ring.binomial(a, b) + ring.poly(terms_g)
+        return ring.times_binomials(ring.poly(terms_f), [(a, b)]) + ring.poly(terms_g)
 
     bound = evaluate(oracle._Bound)
     assert bound.norm >= sum(abs(c) for c in exact.values())
     assert bound.t_degree >= max((e[1] for e, c in exact.items() if c), default=0)
     point = oracle._Point(bound)
-    assert evaluate(point) == _at(exact, (point.q, point.t))
+    assert evaluate(point) == _at(exact, kronecker_point(bound.norm, bound.t_degree))

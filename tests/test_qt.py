@@ -5,6 +5,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import is_nonneg_polynomial
 from qtkostka import qt
 from qtkostka.errors import ConsistencyError, DomainError, PoleError
 from qtkostka.oracle import kronecker_point
@@ -20,7 +21,6 @@ from qtkostka.qt import (
     divide_by_one_minus_t_power,
     exact_div_binomial,
     expand_factors,
-    is_nonneg_polynomial,
     q_power_row,
     row_nonnegative,
     row_polynomial,

@@ -253,7 +253,7 @@ def test_fmu_complement_nonneg_case():
 
 
 def test_fmu_complement_sweep():
-    from qtkostka.qt import is_nonneg_polynomial
+    from helpers import is_nonneg_polynomial
 
     for m in range(1, 5):
         for n in range(1, 4):
