@@ -1,6 +1,7 @@
 """Exact q,t-Kostka matrices for Macdonald symmetric functions, the
 integral-form coefficients k(lambda, mu), their reduction algebra, and a
-dual Haglund positivity checker, cross-validated by a Gram-Schmidt oracle.
+dual Haglund positivity checker, with K1 certified exactly at a Kronecker
+point by the oracle.
 """
 
 from .errors import ConsistencyError, DomainError, PoleError

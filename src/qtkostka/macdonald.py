@@ -19,10 +19,10 @@ from typing import Callable, Iterator, NamedTuple, TextIO
 from .errors import ConsistencyError, DomainError
 from .partitions import (
     Partition,
-    cells,
+    box_stats,
     conjugate,
-    diagram_stats,
     dominance_leq,
+    hook_pairs,
     n_stat,
     ordered_dot,
     partition,
@@ -40,20 +40,12 @@ CACHE_FORMAT_VERSION = 1
 
 def c_factors(mu: Partition) -> tuple[tuple[int, int], ...]:
     """Binomial exponents of c_mu: one (a, l+1) per box."""
-    out = []
-    for x in cells(mu):
-        s = diagram_stats(mu, x)
-        out.append((s.arm, s.leg + 1))
-    return tuple(sorted(out))
+    return tuple(sorted(hook_pairs(mu, 0, 1)))
 
 
 def c_prime_factors(mu: Partition) -> tuple[tuple[int, int], ...]:
     """Binomial exponents of c'_mu: one (a+1, l) per box."""
-    out = []
-    for x in cells(mu):
-        s = diagram_stats(mu, x)
-        out.append((s.arm + 1, s.leg))
-    return tuple(sorted(out))
+    return tuple(sorted(hook_pairs(mu, 1, 0)))
 
 
 class NormalizationConstants(NamedTuple):
@@ -79,25 +71,20 @@ def psi_strip(lam: Partition, mu: Partition) -> QtRational:
     """Macdonald's psi weight of the horizontal strip lam/mu.
 
     The product runs over boxes of mu whose row gained a box but whose
-    column did not; each contributes a four-binomial factor built from
-    its arms and legs in mu and in lam.
+    column did not, that is whose arm grows and whose leg does not; each
+    contributes a four-binomial factor built from its arms and legs in mu
+    and in lam.
     """
     lam = partition(lam)
     mu = partition(mu)
     if not is_horizontal_strip(lam, mu):
         raise DomainError(f"{lam}/{mu} is not a horizontal strip")
-    conj_lam = conjugate(lam)
-    conj_mu = conjugate(mu)
+    in_lam = box_stats(lam)
     num: list[tuple[int, int]] = []
     den: list[tuple[int, int]] = []
-    for r in range(1, len(mu) + 1):
-        if lam[r - 1] == mu[r - 1]:
-            continue  # row unchanged: no qualifying boxes here
-        for col in range(1, mu[r - 1] + 1):
-            if conj_lam[col - 1] != conj_mu[col - 1]:
-                continue  # column grew
-            sm = diagram_stats(mu, (r, col))
-            sl = diagram_stats(lam, (r, col))
+    for cell, sm in box_stats(mu).items():
+        sl = in_lam[cell]
+        if sl.arm != sm.arm and sl.leg == sm.leg:
             num += [(sm.arm, sm.leg + 1), (sl.arm + 1, sl.leg)]
             den += [(sm.arm + 1, sm.leg), (sl.arm, sl.leg + 1)]
     return QtRational(times_binomials(ONE, num), den)
@@ -419,10 +406,9 @@ def closed_form_row(n: int, mu: Partition) -> QtPolynomial:
     if sum(mu) != n:
         raise DomainError(f"|{mu}| != {n}")
     # 1 - q^(a'+1) t^(-l') per box, Laurent until the prefactor clears it
-    stats = [diagram_stats(mu, x) for x in cells(mu)]
     result = times_binomials(
         QtPolynomial.monomial(1, 0, n_stat(mu)),
-        ((s.coarm + 1, -s.coleg) for s in stats),
+        ((s.coarm + 1, -s.coleg) for s in box_stats(mu).values()),
     )
     if not result.is_genuine_polynomial():
         raise ConsistencyError(f"row closed form not polynomial for mu={mu}")
@@ -437,7 +423,7 @@ def kostka_foulkes_hook_form(lam: Partition) -> QtPolynomial:
         QtPolynomial.monomial(1, 0, n_stat(conjugate(lam))),
         ((0, j) for j in range(1, n + 1)),
     )
-    hooks = [(0, diagram_stats(lam, x).hook) for x in cells(lam)]
+    hooks = [(0, s.hook) for s in box_stats(lam).values()]
     return QtRational(num, hooks).as_polynomial()
 
 
@@ -448,7 +434,7 @@ def closed_form_column(lam: Partition, n: int) -> QtPolynomial:
         raise DomainError(f"|{lam}| != {n}")
     result = times_binomials(
         kostka_foulkes_hook_form(lam),
-        ((1, -diagram_stats(lam, x).content) for x in cells(lam)),
+        ((1, -s.content) for s in box_stats(lam).values()),
     )
     if not result.is_genuine_polynomial():
         raise ConsistencyError(f"column closed form not polynomial for {lam}")
@@ -473,7 +459,7 @@ def principal_specialization_P(
         if alpha < 0 or beta < 0:
             raise DomainError(f"z must be a monomial with nonneg exponents: {z}")
     # a box's t^l' - q^(a'+alpha) t^beta is t^l' (1 - q^(a'+alpha) t^(beta-l'))
-    stats = [diagram_stats(lam, x) for x in cells(lam)]
+    stats = box_stats(lam).values()
     num = times_binomials(
         QtPolynomial.monomial(1, 0, sum(s.coleg for s in stats)),
         ((s.coarm + alpha, beta - s.coleg) for s in stats),

@@ -34,9 +34,8 @@ from .errors import DomainError
 from .macdonald import TriangularMatrix, k1_entry
 from .partitions import (
     Partition,
-    cells,
-    diagram_stats,
     dominance_leq,
+    hook_pairs,
     partitions_of,
     unitriangular_inverse,
 )
@@ -253,12 +252,6 @@ def _orthogonality_identities(d: _Degree):
             yield sum(x * y for x, y in zip(v_row, w_row)), 0
 
 
-def _hooks(lam: Partition, arm_shift: int, leg_shift: int) -> list:
-    """(arm + arm_shift, leg + leg_shift) over the cells of lam."""
-    stats = (diagram_stats(lam, x) for x in cells(lam))
-    return [(st.arm + arm_shift, st.leg + leg_shift) for st in stats]
-
-
 def _normalization_identities(d: _Degree):
     """c_lam <P_lam, P_lam> = c'_lam, for c_lam = prod (1 - q^arm t^(leg+1))
     and c'_lam = prod (1 - q^(arm+1) t^leg) over the cells."""
@@ -266,8 +259,8 @@ def _normalization_identities(d: _Degree):
         pairing = sum(x * y for x, y in zip(v_row, w_row))
         cleared = d.s * d.s * lcm_row * lcm_row * d.e
         yield (
-            d.ring.times_binomials(pairing, _hooks(lam, 0, 1)),
-            d.ring.times_binomials(cleared, _hooks(lam, 1, 0)),
+            d.ring.times_binomials(pairing, hook_pairs(lam, 0, 1)),
+            d.ring.times_binomials(cleared, hook_pairs(lam, 1, 0)),
         )
 
 
@@ -275,7 +268,7 @@ def _plethysm_identities(d: _Degree):
     """h_n[X (1-t)/(1-q)] = b_(n) P_(n), one power-sum coefficient at a
     time: z_rho^-1 prod_i (1 - t^rho_i) / (1 - q^rho_i) on the left."""
     ring, row = d.ring, d.parts[0]
-    c, c_prime = _hooks(row, 0, 1), _hooks(row, 1, 0)
+    c, c_prime = hook_pairs(row, 0, 1), hook_pairs(row, 1, 0)
     for rho, value in zip(d.parts, d.v[0]):
         yield (
             ring.times_binomials(d.s * d.lcms[0], [(0, part) for part in rho] + c_prime),

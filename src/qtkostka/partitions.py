@@ -57,18 +57,28 @@ class DiagramStats(NamedTuple):
         return self.arm + self.leg + 1
 
 
+def box_stats(lam: Partition) -> dict[Cell, DiagramStats]:
+    """Every cell's arm/coarm/leg/coleg, keyed row-major, from one conjugate."""
+    conj = conjugate(lam)
+    return {
+        (r, c): DiagramStats(lam[r - 1] - c, c - 1, conj[c - 1] - r, r - 1)
+        for r, c in cells(lam)
+    }
+
+
+def hook_pairs(
+    lam: Partition, arm_shift: int, leg_shift: int
+) -> list[tuple[int, int]]:
+    """(arm + arm_shift, leg + leg_shift) over the cells of lam, row-major."""
+    return [(s.arm + arm_shift, s.leg + leg_shift) for s in box_stats(lam).values()]
+
+
 def diagram_stats(lam: Partition, cell: Cell) -> DiagramStats:
     """Arm/coarm/leg/coleg of a cell that must lie inside the diagram."""
-    r, c = cell
-    if not (1 <= r <= len(lam) and 1 <= c <= lam[r - 1]):
+    stats = box_stats(lam).get(tuple(cell))
+    if stats is None:
         raise DomainError(f"cell {cell} outside diagram of {lam}")
-    conj = conjugate(lam)
-    return DiagramStats(
-        arm=lam[r - 1] - c,
-        coarm=c - 1,
-        leg=conj[c - 1] - r,
-        coleg=r - 1,
-    )
+    return stats
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:

@@ -10,6 +10,7 @@ product) and replaying the tree reproduces k(lambda, mu) exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 from typing import Callable, NamedTuple
 
@@ -23,10 +24,9 @@ from .macdonald import (
 )
 from .partitions import (
     Partition,
-    cells,
+    box_stats,
     complement,
     conjugate,
-    diagram_stats,
     dominance_leq,
     partition,
     split_rows,
@@ -151,11 +151,11 @@ def decompose_irreducible(lam: Partition, mu: Partition) -> ReductionStep:
     lam1, lam2 = split_rows(lam, r)
     mu1, mu2 = mu[:r], mu[r:]
     width = lam[r - 1]
-    cofactor = []
-    for row in range(1, r + 1):
-        for col in range(1, width + 1):
-            s = diagram_stats(mu, (row, col))
-            cofactor.append((s.arm + 1, s.leg))
+    cofactor = [
+        (s.arm + 1, s.leg)
+        for (row, col), s in box_stats(mu).items()
+        if row <= r and col <= width
+    ]
     children = [
         decompose_irreducible(
             subtract_rectangle(lam1, r, width),
@@ -307,12 +307,7 @@ def fast_k(lam: Partition, mu: Partition) -> QtPolynomial | None:
 def f_stat(mu: Partition) -> QtPolynomial:
     """f_mu = sum over boxes of q^arm t^leg."""
     mu = partition(mu)
-    terms: dict[tuple[int, int], int] = {}
-    for x in cells(mu):
-        s = diagram_stats(mu, x)
-        e = (s.arm, s.leg)
-        terms[e] = terms.get(e, 0) + 1
-    return QtPolynomial(terms)
+    return QtPolynomial(Counter((s.arm, s.leg) for s in box_stats(mu).values()))
 
 
 def f_stat_closed(mu: Partition) -> QtPolynomial:

@@ -113,9 +113,6 @@ class Ssyt:
             chain.append(shape)
         return cls(chain)
 
-    def to_obj(self) -> list[list[int]]:
-        return self.rows()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ssyt) and self._chain == other._chain
 

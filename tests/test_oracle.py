@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtkostka import oracle
 from qtkostka.macdonald import TriangularMatrix, build_matrices
@@ -231,6 +231,7 @@ def _at(terms, point):
 
 
 @given(int_polynomials())
+@example({(1, 0): 1, (0, 1): -1})  # q - t: zero at any point with q = t^D, D = 1
 @settings(max_examples=200, deadline=None)
 def test_kronecker_point_decides_zero(terms):
     bound = sum(abs(c) for c in terms.values())

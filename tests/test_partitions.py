@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from qtkostka.errors import DomainError
 from qtkostka.partitions import (
+    box_stats,
+    cells,
     complement,
     conjugate,
     diagram_stats,
@@ -48,6 +50,26 @@ def test_diagram_stats_small():
     assert s.content == 0
     with pytest.raises(DomainError):
         diagram_stats((3, 2), (2, 3))
+
+
+def test_box_stats_counts_the_cells_around_each_cell():
+    # every partition to degree 10, each statistic counted off the set of
+    # cells rather than read from the conjugate
+    for n in range(11):
+        for lam in partitions_of(n):
+            table = box_stats(lam)
+            assert list(table) == list(cells(lam))
+            shape = set(cells(lam))
+            for (r, c), s in table.items():
+                assert s.arm == sum((r, j) in shape for j in range(c + 1, n + 1))
+                assert s.leg == sum((i, c) in shape for i in range(r + 1, n + 1))
+                assert s.coarm == sum((r, j) in shape for j in range(1, c))
+                assert s.coleg == sum((i, c) in shape for i in range(1, r))
+                assert diagram_stats(lam, [r, c]) == s
+            past_rows = [(r, p + 1) for r, p in enumerate(lam, start=1)]
+            for cell in [(0, 1), (1, 0)] + past_rows:
+                with pytest.raises(DomainError):
+                    diagram_stats(lam, cell)
 
 
 def test_dominance():
