@@ -283,16 +283,6 @@ def _load_matrix(n: int, which: str, path: str) -> TriangularMatrix | None:
         return None
 
 
-def _load_cached(n: int, paths: list[str]) -> MatrixBundle | None:
-    mats = []
-    for which, path in zip(MATRIX_FIELDS, paths):
-        mat = _load_matrix(n, which, path)
-        if mat is None:
-            return None
-        mats.append(mat)
-    return MatrixBundle(*mats)
-
-
 @contextmanager
 def atomic_writer(path: str) -> Iterator[TextIO]:
     """A text file at ``path`` that readers see old or whole, never partial.
@@ -320,45 +310,44 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
             os.unlink(tmp)
 
 
-def build_matrices(n: int, cache_dir: str | None = None) -> MatrixBundle:
-    """K, K1, K1^-1, K2, K2^-1 at degree n, optionally cached on disk.
-
-    A cache that is missing, stale or damaged is rewritten in full.  The
-    cache directory and files are opened before any matrix is computed.
-    """
+def build_matrices(n: int) -> MatrixBundle:
+    """K, K1, K1^-1, K2, K2^-1 at degree n, kept in memory."""
     if n < 0:
         raise DomainError(f"negative degree {n}")
-    bundle = _memory_cache.get(n)
-    with ExitStack() as stack:
-        files = []
-        if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            paths = [_cache_path(cache_dir, name, n) for name in MATRIX_FIELDS]
-            if bundle is None:
-                bundle = _load_cached(n, paths)
-            if bundle is None or not all(os.path.exists(p) for p in paths):
-                files = [stack.enter_context(atomic_writer(p)) for p in paths]
-        if bundle is None:
-            bundle = _compute_matrices(n)
-        _memory_cache[n] = bundle
-        for name, fh, mat in zip(MATRIX_FIELDS, files, bundle):
-            # one text: only a one-shot dumps takes the C encoder
-            fh.write(json.dumps(mat.to_obj(name), sort_keys=True))
-    return bundle
+    if n not in _memory_cache:
+        _memory_cache[n] = _compute_matrices(n)
+    return _memory_cache[n]
 
 
 def read_matrix(n: int, which: str, cache_dir: str) -> TriangularMatrix:
-    """The matrix ``which`` (a key of MATRIX_FIELDS) at degree n.
+    """The matrix ``which`` (a key of MATRIX_FIELDS) at degree n, the one
+    reader and writer of the cache files.
 
-    A degree not in memory is served from ``which``'s cache file alone;
-    a missing or rejected file goes through build_matrices, which
-    rewrites all five.
+    A degree not in memory is served from ``which``'s cache file alone.
+    A missing or rejected file, or a degree in memory with a file
+    missing, rewrites all five; their files are opened before any matrix
+    is computed.
     """
-    if n not in _memory_cache:
+    if which not in MATRIX_FIELDS:
+        raise DomainError(f"unknown matrix {which!r}")
+    if n < 0:
+        raise DomainError(f"negative degree {n}")
+    paths = [_cache_path(cache_dir, name, n) for name in MATRIX_FIELDS]
+    if n in _memory_cache:
+        if all(os.path.exists(p) for p in paths):
+            return getattr(_memory_cache[n], MATRIX_FIELDS[which])
+    else:
         mat = _load_matrix(n, which, _cache_path(cache_dir, which, n))
         if mat is not None:
             return mat
-    return getattr(build_matrices(n, cache_dir), MATRIX_FIELDS[which])
+    os.makedirs(cache_dir, exist_ok=True)
+    with ExitStack() as stack:
+        files = [stack.enter_context(atomic_writer(p)) for p in paths]
+        bundle = build_matrices(n)
+        for name, fh, mat in zip(MATRIX_FIELDS, files, bundle):
+            # one text: only a one-shot dumps takes the C encoder
+            fh.write(json.dumps(mat.to_obj(name), sort_keys=True))
+    return getattr(bundle, MATRIX_FIELDS[which])
 
 
 # -- integral form coefficients ----------------------------------------------

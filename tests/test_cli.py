@@ -11,7 +11,7 @@ from qtkostka import cli, macdonald
 from qtkostka.cli import dispatch
 from qtkostka.errors import ConsistencyError
 from qtkostka.haglund import scan
-from qtkostka.macdonald import MATRIX_FIELDS, build_matrices
+from qtkostka.macdonald import MATRIX_FIELDS, read_matrix
 
 
 def run_cli(capsys, *argv):
@@ -211,7 +211,7 @@ def test_cache_file_with_a_bool_degree_is_rewritten(capsys, tmp_path, monkeypatc
 
 def test_matrix_golden_from_disk(capsys, tmp_path, monkeypatch):
     # the path every warm call takes: one cache file, no bundle in memory
-    build_matrices(6, cache_dir=str(tmp_path))
+    read_matrix(6, "k", str(tmp_path))
     _cold_process(monkeypatch)
     for which in MATRIX_FIELDS:
         code, out, _ = _matrix_call(capsys, tmp_path, 6, which)
@@ -496,7 +496,7 @@ _IMPORT_PROBE = (
     ids=["fstat", "kcoeff", "haglund", "reduce", "matrix", "oracle-verify"],
 )
 def test_no_command_loads_sympy(tmp_path, argv):
-    build_matrices(3, cache_dir=str(tmp_path))  # the matrix call reads it
+    read_matrix(3, "k", str(tmp_path))  # the matrix call reads it
     src = os.path.dirname(os.path.dirname(qtkostka.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, "--cache-dir", str(tmp_path), *argv],

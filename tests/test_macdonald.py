@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,7 @@ from qtkostka.macdonald import (
     normalization,
     principal_specialization_P,
     psi_strip,
+    read_matrix,
 )
 from qtkostka.partitions import conjugate, partitions_of
 from qtkostka.qt import (
@@ -359,31 +361,32 @@ def test_q_one_identity_where_safe():
     assert checked > 0
 
 
-def test_matrix_json_round_trip(tmp_path):
-    b = build_matrices(3, cache_dir=str(tmp_path))
-    again = build_matrices(3, cache_dir=str(tmp_path))
-    assert again.k2 == b.k2
+def test_matrix_json_round_trip(tmp_path, monkeypatch):
+    b = read_matrix(3, "k2", str(tmp_path))
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    again = read_matrix(3, "k2", str(tmp_path))
+    assert again == b
     assert (tmp_path / "k2_n3.json").exists()
-
-
-def test_cache_version_invalidation(tmp_path):
-    build_matrices(2, cache_dir=str(tmp_path))
-    path = tmp_path / "k1_n2.json"
-    text = path.read_text().replace(
-        '"format_version": 1', '"format_version": 0'
-    )
-    path.write_text(text)
-    rebuilt = build_matrices(2, cache_dir=str(tmp_path))
-    assert rebuilt.k1.is_unitriangular()
 
 
 def _fill_cache(tmp_path, monkeypatch, n=3):
     """Write the degree-n cache, then forget the in-memory bundle so the
-    next build_matrices call reads the files."""
-    build_matrices(n, cache_dir=str(tmp_path))
+    next read_matrix call reads the files."""
+    read_matrix(n, "k", str(tmp_path))
     texts = {p.name: p.read_text() for p in tmp_path.iterdir()}
     monkeypatch.setattr(macdonald, "_memory_cache", {})
     return texts
+
+
+def test_cache_version_invalidation(tmp_path, monkeypatch):
+    texts = _fill_cache(tmp_path, monkeypatch, n=2)
+    path = tmp_path / "k1_n2.json"
+    path.write_text(
+        texts["k1_n2.json"].replace('"format_version": 1', '"format_version": 0')
+    )
+    rebuilt = read_matrix(2, "k1", str(tmp_path))
+    assert rebuilt.is_unitriangular()
+    assert path.read_text() == texts["k1_n2.json"]
 
 
 def _bad_coefficient(obj):
@@ -400,8 +403,7 @@ def test_cache_damaged_file_is_rejected_and_rewritten(
     texts = _fill_cache(tmp_path, monkeypatch)
     path = tmp_path / "k2_n3.json"
     path.write_text(json.dumps(damage(json.loads(path.read_text()))))
-    bundle = build_matrices(3, cache_dir=str(tmp_path))
-    assert bundle.k2 == build_matrices(3).k2
+    assert read_matrix(3, "k2", str(tmp_path)) == build_matrices(3).k2
     assert path.read_text() == texts["k2_n3.json"]
 
 
@@ -409,20 +411,18 @@ def test_cache_truncated_file_is_repaired(tmp_path, monkeypatch):
     texts = _fill_cache(tmp_path, monkeypatch)
     path = tmp_path / "k1_n3.json"
     path.write_text(texts["k1_n3.json"][: len(texts["k1_n3.json"]) // 2])
-    bundle = build_matrices(3, cache_dir=str(tmp_path))
-    assert bundle.k1.is_unitriangular()
+    assert read_matrix(3, "k1", str(tmp_path)).is_unitriangular()
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
 
 
 def test_cache_of_another_degree_is_rejected_and_rewritten(
     tmp_path, monkeypatch
 ):
-    build_matrices(2, cache_dir=str(tmp_path))
+    read_matrix(2, "k", str(tmp_path))
     texts = _fill_cache(tmp_path, monkeypatch)
     for name in macdonald.MATRIX_FIELDS:
         (tmp_path / f"{name}_n3.json").write_text(texts[f"{name}_n2.json"])
-    bundle = build_matrices(3, cache_dir=str(tmp_path))
-    assert bundle.kostka.n == 3
+    assert read_matrix(3, "k", str(tmp_path)).n == 3
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
 
 
@@ -431,8 +431,7 @@ def test_cache_of_another_matrix_is_rejected_and_rewritten(
 ):
     texts = _fill_cache(tmp_path, monkeypatch, n=2)
     (tmp_path / "k1_n2.json").write_text(texts["k2_n2.json"])
-    bundle = build_matrices(2, cache_dir=str(tmp_path))
-    assert bundle.k1.is_unitriangular()
+    assert read_matrix(2, "k1", str(tmp_path)).is_unitriangular()
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
 
 
@@ -452,7 +451,7 @@ def test_cache_claiming_a_large_degree_is_rejected_unread(
         return listed(n)
 
     monkeypatch.setattr(macdonald, "partitions_of", small_degrees_only)
-    build_matrices(2, cache_dir=str(tmp_path))
+    read_matrix(2, "k", str(tmp_path))
     assert path.read_text() == texts["k_n2.json"]
 
 
@@ -474,8 +473,70 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(macdonald.json, "dumps", failing_dumps)
     with pytest.raises(OSError):
-        build_matrices(3, cache_dir=str(tmp_path))
+        read_matrix(3, "k1", str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         name for name in texts if name != "k1_n3.json"
     )
     assert (tmp_path / "k_n3.json").read_text() == texts["k_n3.json"]
+
+
+def _spy(monkeypatch, name):
+    """Record the first argument of each call to macdonald.<name>."""
+    calls = []
+    real = getattr(macdonald, name)
+
+    def spy(first, *args):
+        calls.append(first)
+        return real(first, *args)
+
+    monkeypatch.setattr(macdonald, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, which", [(4, "bogus"), (-1, "k")])
+def test_read_matrix_checks_its_arguments_before_the_disk(
+    tmp_path, monkeypatch, n, which
+):
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    built = _spy(monkeypatch, "_compute_matrices")
+    with pytest.raises(DomainError):
+        read_matrix(n, which, str(tmp_path / "cache"))
+    assert not (tmp_path / "cache").exists()
+    assert built == []
+
+
+def test_rejected_file_is_read_once_before_the_rebuild(tmp_path, monkeypatch):
+    # the other four files cannot make a bundle without the fifth, so
+    # the rebuild reads none of them
+    texts = _fill_cache(tmp_path, monkeypatch, n=5)
+    path = tmp_path / "k2inv_n5.json"
+    path.write_text(texts["k2inv_n5.json"][:100])
+    loaded = _spy(monkeypatch, "_load_matrix")
+    built = _spy(monkeypatch, "_compute_matrices")
+    mat = read_matrix(5, "k2inv", str(tmp_path))
+    assert loaded == [5] and built == [5]
+    assert json.dumps(mat.to_obj("k2inv"), sort_keys=True) == texts["k2inv_n5.json"]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+
+
+def test_degree_in_memory_rewrites_only_a_missing_cache(tmp_path, monkeypatch):
+    monkeypatch.setattr(macdonald, "_memory_cache", {})
+    read_matrix(3, "k", str(tmp_path))
+    texts = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    built = _spy(monkeypatch, "_compute_matrices")
+    opened = _spy(monkeypatch, "atomic_writer")
+    # one file missing: all five are written from the bundle in memory
+    (tmp_path / "k1_n3.json").unlink()
+    read_matrix(3, "k1", str(tmp_path))
+    assert built == []
+    assert [os.path.basename(p) for p in opened] == [
+        f"{name}_n3.json" for name in macdonald.MATRIX_FIELDS
+    ]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+    # all five present: nothing is opened for writing or touched
+    stamps = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+    opened.clear()
+    read_matrix(3, "k1", str(tmp_path))
+    assert built == [] and opened == []
+    assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == stamps
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
