@@ -14,7 +14,7 @@ against generic_quotient, which replays the tree with k_coeff leaves.
 from __future__ import annotations
 
 import os
-from itertools import chain, starmap
+from itertools import starmap
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
@@ -176,8 +176,8 @@ class ScanReport(NamedTuple):
 
 
 def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
-    """Verdicts for every dominance pair of each degree n <= max_n and
-    every 0 <= k <= max_k, in a deterministic order."""
+    """Verdicts for every dominance pair of each degree n <= max_n and every
+    0 <= k <= max_k, lambda-major, run grouped by mu for k_coeff's row of J."""
     if max_n < 0 or max_k < 0:
         raise DomainError("scan bounds must be nonnegative")
     if jobs < 0:
@@ -190,16 +190,18 @@ def scan(max_n: int, max_k: int, jobs: int = 1) -> ScanReport:
         for mu in partitions_of(n)
         if dominance_leq(mu, lam)
     ]
+    order = sorted(range(len(args)), key=lambda i: args[i][1])
+    grouped = [args[i] for i in order]
     cores = os.cpu_count() or 1
     jobs = min(jobs, cores) or cores  # more workers than cores only wait
     if jobs == 1 or len(args) < 2 * jobs:
-        results = starmap(pair_verdicts, args)
+        results = starmap(pair_verdicts, grouped)
     else:
         # imported here, so a serial scan and every other command skip it
         from multiprocessing import get_context
 
         # starmap keeps the order and deals out contiguous chunks of pairs
         with get_context("fork").Pool(jobs) as pool:
-            results = pool.starmap(pair_verdicts, args)
-    verdicts = tuple(chain.from_iterable(results))
+            results = pool.starmap(pair_verdicts, grouped)
+    verdicts = tuple(v for _, pair in sorted(zip(order, results)) for v in pair)
     return ScanReport(max_n, max_k, verdicts)

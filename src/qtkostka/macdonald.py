@@ -13,7 +13,7 @@ import json
 import os
 from collections import Counter
 from contextlib import ExitStack, contextmanager
-from functools import cache
+from functools import cache, lru_cache, reduce
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .errors import ConsistencyError, DomainError
@@ -30,7 +30,8 @@ from .partitions import (
     unitriangular_inverse,
 )
 from .qt import ONE, QtPolynomial, QtRational, expand_factors, times_binomials
-from .tableaux import chain_column, chain_entry, is_horizontal_strip, kostka_inverse, kostka_number
+from .tableaux import chain_column, horizontal_strip_extensions, is_horizontal_strip
+from .tableaux import kostka_inverse, kostka_number
 
 CACHE_FORMAT_VERSION = 1
 
@@ -79,6 +80,12 @@ def psi_strip(lam: Partition, mu: Partition) -> QtRational:
     mu = partition(mu)
     if not is_horizontal_strip(lam, mu):
         raise DomainError(f"{lam}/{mu} is not a horizontal strip")
+    num, den = _psi_factors(lam, mu)
+    return QtRational(times_binomials(ONE, num), den)
+
+
+def _psi_factors(lam: Partition, mu: Partition) -> tuple[list, list]:
+    """psi_strip's binomial exponents, (numerator, denominator)."""
     in_lam = box_stats(lam)
     num: list[tuple[int, int]] = []
     den: list[tuple[int, int]] = []
@@ -87,7 +94,7 @@ def psi_strip(lam: Partition, mu: Partition) -> QtRational:
         if sl.arm != sm.arm and sl.leg == sm.leg:
             num += [(sm.arm, sm.leg + 1), (sl.arm + 1, sl.leg)]
             den += [(sm.arm + 1, sm.leg), (sl.arm, sl.leg + 1)]
-    return QtRational(times_binomials(ONE, num), den)
+    return num, den
 
 
 @cache
@@ -354,18 +361,39 @@ def read_matrix(n: int, which: str, cache_dir: str) -> TriangularMatrix:
 
 
 @cache
-def _j_entry(mu: Partition, nu: Partition) -> QtPolynomial:
-    """J(mu, nu) = c_mu K1(mu, nu), an integer polynomial, for nu <= mu."""
-    # K1 is unitriangular: the diagonal needs no K1 column.  Off it, one
-    # strip step on the cached nu[:-1] column, so nu's whole column is
-    # not built
-    k1 = chain_entry(nu, _psi_cached, mu, QtRational(0)) if nu != mu else QtRational(1)
-    # c_mu already holds most of the entry's denominator: cancel those
-    # factors as multisets, and divide only by the ones left over
-    c = Counter(c_factors(mu))
-    den = Counter({(f.a, f.b): f.multiplicity for f in k1.den})
-    num = times_binomials(k1.num, (c - den).elements())
-    return QtRational(num, (den - c).elements()).as_polynomial()
+def _j_weight(lam: Partition, rho: Partition) -> tuple[Counter, Counter]:
+    """c_lam psi_{lam/rho} / c_rho as cancelled binomial multisets (num, den)."""
+    num, den = _psi_factors(lam, rho)
+    num, den = Counter(num) + Counter(c_factors(lam)), Counter(den) + Counter(c_factors(rho))
+    return num - den, den - num
+
+
+def _j_step(lam: Partition, below: dict[Partition, QtPolynomial]) -> QtPolynomial:
+    """J(lam, nu) = c_lam K1(lam, nu) from ``below``, the J column of nu[:-1]:
+    the terms J(rho, nu[:-1]) _j_weight(lam, rho) over the strips lam/rho,
+    summed over their denominators' union and divided exactly (J is integral)."""
+    weights = {rho: _j_weight(lam, rho) for rho in below if is_horizontal_strip(lam, rho)}
+    lcd = reduce(Counter.__or__, (den for _, den in weights.values()), Counter())
+    total = QtPolynomial.zero()
+    for rho, (num, den) in weights.items():
+        total = total + times_binomials(below[rho], (num + lcd - den).elements())
+    return QtRational(total, lcd.elements()).as_polynomial()
+
+
+@cache
+def _j_column(content: tuple[int, ...]) -> dict[Partition, QtPolynomial]:
+    """J(lam, content) for every shape lam its strip chains reach."""
+    if not content:
+        return {(): ONE}
+    below = _j_column(content[:-1])
+    shapes = {lam for rho in below for lam in horizontal_strip_extensions(rho, content[-1])}
+    return {lam: _j_step(lam, below) for lam in shapes}
+
+
+@lru_cache(maxsize=1)
+def _j_row(mu: Partition) -> dict[Partition, QtPolynomial]:
+    """J(mu, nu) by nu, filled as k_coeff reads it; scan runs mu by mu."""
+    return {}
 
 
 def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
@@ -381,11 +409,14 @@ def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
     lam_c, mu_c = conjugate(lam), conjugate(mu)
     n = sum(lam_c)
     column = partitions_of(n).index(lam_c)
+    j_row = _j_row(mu_c)
     total = QtPolynomial.zero()
     for nu, row in zip(partitions_of(n), kostka_inverse(n)):
         weight = row[column]
         if weight and dominance_leq(nu, mu_c):
-            total = total + _j_entry(mu_c, nu) * weight
+            if nu not in j_row:
+                j_row[nu] = _j_step(mu_c, _j_column(nu[:-1]))
+            total = total + j_row[nu] * weight
     return total.swap_qt()
 
 

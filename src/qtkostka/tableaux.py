@@ -12,7 +12,7 @@ from functools import cache
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import DomainError
-from .partitions import Partition, ordered_dot, partition, partitions_of, unitriangular_inverse
+from .partitions import Partition, partition, partitions_of, unitriangular_inverse
 from .qt import QtPolynomial
 
 _W = TypeVar("_W")
@@ -170,21 +170,6 @@ def chain_column(
             term = acc * weight(bigger, shape)
             out[bigger] = out[bigger] + term if bigger in out else term
     return out
-
-
-def chain_entry(
-    content: tuple[int, ...],
-    weight: Callable[[Partition, Partition], _W],
-    shape: Partition,
-    zero: _W,
-) -> _W:
-    """``chain_column(content, weight).get(shape, zero)`` for a non-empty
-    content and a shape of its size, by one strip step on the cached
-    ``content[:-1]`` column, so the column of ``content`` is not built."""
-    below = chain_column(content[:-1], weight)
-    strips = [rho for rho in below if is_horizontal_strip(shape, rho)]
-    terms = [below[rho] for rho in strips]
-    return ordered_dot(terms, [weight(shape, rho) for rho in strips], zero)
 
 
 def _count(bigger: Partition, shape: Partition) -> int:

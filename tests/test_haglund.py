@@ -373,11 +373,11 @@ def test_scan_pool_maps_each_pair_once_in_scan_order(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     pooled = scan(5, 2, jobs=2)
-    # one starmap over every pair, each with every k, in the serial order
+    # one starmap over every pair, each with every k, grouped by mu and
+    # in the serial order within each mu
     (args,) = context.calls
-    assert [(lam, mu) for lam, mu, _ in args] == [
-        (v.lam, v.mu) for v in serial.verdicts if v.k == 0
-    ]
+    pairs = [(v.lam, v.mu) for v in serial.verdicts if v.k == 0]
+    assert [(lam, mu) for lam, mu, _ in args] == sorted(pairs, key=lambda p: p[1])
     assert all(list(ks) == [0, 1, 2] for _, _, ks in args)
     assert pooled == serial
 

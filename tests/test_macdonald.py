@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -20,11 +21,12 @@ from qtkostka.macdonald import (
     psi_strip,
     read_matrix,
 )
-from qtkostka.partitions import conjugate, partitions_of
+from qtkostka.partitions import conjugate, dominance_leq, partitions_of
 from qtkostka.qt import (
     ONE,
     Q,
     T,
+    QtPolynomial,
     QtRational,
     exact_div_binomial,
     expand_factors,
@@ -94,18 +96,46 @@ def test_columns_extend_the_cached_prefix_column(monkeypatch):
         assert sorted(calls) == sorted(prefix), weight.__name__
 
 
-def test_chain_entry_is_the_column_entry():
-    # one strip step on the prefix column gives each entry of the column,
-    # zero where the column has no such shape
-    for weight, zero, contents in [
-        (macdonald._psi_cached, QtRational(0), [(3, 2, 1), (2, 2, 1, 1), (4, 2)]),
-        (tableaux._count, 0, [(1, 3, 2), (2, 1, 2, 1), (2, 4)]),
-    ]:
-        for content in contents:
-            column = tableaux.chain_column(content, weight)
-            for shape in partitions_of(sum(content)):
-                got = tableaux.chain_entry(content, weight, shape, zero)
-                assert got == column.get(shape, zero), (content, shape)
+def test_j_step_is_the_column_entry():
+    # one strip step on the prefix column gives each entry of the J
+    # column, zero where the column has no such shape; the column holds
+    # every shape with a tableau of its content
+    for content in [(3, 2, 1), (2, 2, 1, 1), (4, 2), (1, 3, 2)]:
+        column = macdonald._j_column(content)
+        below = macdonald._j_column(content[:-1])
+        shapes = partitions_of(sum(content))
+        assert set(column) == {s for s in shapes if kostka_number(s, content)}
+        for shape in shapes:
+            got = macdonald._j_step(shape, below)
+            assert got == column.get(shape, QtPolynomial.zero()), (content, shape)
+
+
+def test_j_is_c_times_k1():
+    # the J that k reads, an entry by one strip step on the nu[:-1]
+    # column, is c_lam K1(lam, nu) by cross-multiplication at every
+    # dominance pair to degree 8; so the exact K1 certificate holds for it
+    for n in range(1, 9):
+        for nu in partitions_of(n):
+            below = macdonald._j_column(nu[:-1])
+            for lam in partitions_of(n):
+                if dominance_leq(nu, lam):
+                    k1 = k1_entry(lam, nu)
+                    j = macdonald._j_step(lam, below)
+                    assert j * expand_factors(k1.den) == (
+                        expand_factors(c_factors(lam)) * k1.num
+                    ), (lam, nu)
+
+
+def test_j_step_raises_on_an_inexact_division(monkeypatch):
+    # J is integral, so a sum its denominators do not divide is a bug,
+    # raised rather than skipped
+    below = macdonald._j_column((1,))
+    monkeypatch.setattr(
+        macdonald, "_j_weight", lambda lam, rho: (Counter(), Counter({(1, 1): 1}))
+    )
+    with pytest.raises(ConsistencyError, match="residual denominator"):
+        macdonald._j_step((2,), below)
+
 
 def test_normalization_examples():
     nc = normalization((1,))
@@ -194,36 +224,65 @@ def test_k_coeff_examples():
 
 def test_k_coeff_matches_bundle():
     # duality against the bundle's K2 = K K1^-1, a route that shares no
-    # code with it, including pairs incomparable in dominance (k is zero)
+    # code with it, including pairs incomparable in dominance (k is zero);
+    # mu-major, the order in which k keeps its row of J
     for n in range(9):
         k2 = build_matrices(n).k2
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                c_prime = QtRational(expand_factors(c_prime_factors(mu)))
+        for mu in partitions_of(n):
+            c_prime = QtRational(expand_factors(c_prime_factors(mu)))
+            for lam in partitions_of(n):
                 expected = (k2.entry(lam, mu) * c_prime).as_polynomial()
                 assert k_coeff(lam, mu) == expected, (lam, mu)
 
 
 def test_k_coeff_builds_no_psi_column_of_its_degree(monkeypatch):
-    # an off-diagonal J(mu', nu) is one strip step on the nu[:-1] column,
-    # so no psi column of a content of the pair's degree is built
+    # k reads J by the integer recursion, so it builds no psi column; an
+    # entry J(mu', nu) is one strip step on the nu[:-1] column, so no J
+    # column of the pair's degree is built either
     lam, mu = (4, 2), (2, 2, 1, 1)
     want = k_coeff(lam, mu)
-    macdonald._j_entry.cache_clear()
+    macdonald._j_row.cache_clear()
+    macdonald._j_column.cache_clear()
     tableaux.chain_column.cache_clear()
-    built = []
-    real = tableaux.chain_column
+    psi, built = [], []
+    real_chain, real_j = tableaux.chain_column, macdonald._j_column
 
-    def spy(content, weight):
+    def chain_spy(content, weight):
         if weight is macdonald._psi_cached:
-            built.append(content)
-        return real(content, weight)
+            psi.append(content)
+        return real_chain(content, weight)
 
-    monkeypatch.setattr(tableaux, "chain_column", spy)
-    monkeypatch.setattr(macdonald, "chain_column", spy)
+    def j_spy(content):
+        built.append(content)
+        return real_j(content)
+
+    monkeypatch.setattr(tableaux, "chain_column", chain_spy)
+    monkeypatch.setattr(macdonald, "chain_column", chain_spy)
+    monkeypatch.setattr(macdonald, "_j_column", j_spy)
     assert k_coeff(lam, mu) == want
+    assert not psi, psi
     assert built
     assert all(sum(content) < 6 for content in built), built
+
+
+def test_k_coeff_computes_each_entry_of_a_j_row_once(monkeypatch):
+    # k over every lambda of one mu reads the row J(mu', .), and its one
+    # row memo computes each top-degree entry once
+    mu = (3, 2, 1, 1)
+    lams = partitions_of(sum(mu))
+    want = [k_coeff(lam, mu) for lam in lams]  # builds the lower columns
+    macdonald._j_row.cache_clear()
+    steps = Counter()
+    real = macdonald._j_step
+
+    def spy(lam, below):
+        steps[lam, id(below)] += 1
+        return real(lam, below)
+
+    monkeypatch.setattr(macdonald, "_j_step", spy)
+    assert [k_coeff(lam, mu) for lam in lams] == want
+    assert set(steps.values()) == {1}, steps
+    assert len(steps) == len(macdonald._j_row(conjugate(mu))) > 1
 
 
 def test_k_coeff_of_unequal_sizes_is_zero_before_any_work(monkeypatch):
