@@ -30,7 +30,7 @@ from .partitions import (
     unitriangular_inverse,
 )
 from .qt import ONE, QtPolynomial, QtRational, expand_factors, times_binomials
-from .tableaux import chain_column, horizontal_strip_extensions, is_horizontal_strip
+from .tableaux import chain_column, is_horizontal_strip
 from .tableaux import kostka_inverse, kostka_number
 
 CACHE_FORMAT_VERSION = 1
@@ -102,13 +102,20 @@ def _psi_cached(lam: Partition, mu: Partition) -> QtRational:
     return psi_strip(lam, mu)
 
 
+def _k1_step(lam: Partition, preds: dict[Partition, QtRational]) -> QtRational:
+    """K1(lam, nu): the K1 column of nu[:-1] at the strips lam/rho, each
+    times psi_{lam/rho}, summed in column order."""
+    psi = [_psi_cached(lam, rho) for rho in preds]
+    return ordered_dot(preds.values(), psi, QtRational(0))
+
+
 def k1_entry(lam: Partition, mu: Partition) -> QtRational:
     """K1 coefficient: the psi-sum over SSYT(lam, mu)."""
     lam = partition(lam)
     mu = partition(mu)
     if sum(lam) != sum(mu):
         return QtRational(0)
-    return chain_column(mu, _psi_cached).get(lam, QtRational(0))
+    return chain_column(mu, _k1_step, 1).get(lam, QtRational(0))
 
 
 # -- partition-indexed matrices ---------------------------------------------
@@ -368,26 +375,16 @@ def _j_weight(lam: Partition, rho: Partition) -> tuple[Counter, Counter]:
     return num - den, den - num
 
 
-def _j_step(lam: Partition, below: dict[Partition, QtPolynomial]) -> QtPolynomial:
-    """J(lam, nu) = c_lam K1(lam, nu) from ``below``, the J column of nu[:-1]:
-    the terms J(rho, nu[:-1]) _j_weight(lam, rho) over the strips lam/rho,
-    summed over their denominators' union and divided exactly (J is integral)."""
-    weights = {rho: _j_weight(lam, rho) for rho in below if is_horizontal_strip(lam, rho)}
+def _j_step(lam: Partition, preds: dict[Partition, QtPolynomial]) -> QtPolynomial:
+    """J(lam, nu) = c_lam K1(lam, nu) from the J column of nu[:-1]: its
+    entries at the strips lam/rho, each times _j_weight(lam, rho), summed
+    over their denominators' union and divided exactly (J is integral)."""
+    weights = {rho: _j_weight(lam, rho) for rho in preds}
     lcd = reduce(Counter.__or__, (den for _, den in weights.values()), Counter())
     total = QtPolynomial.zero()
     for rho, (num, den) in weights.items():
-        total = total + times_binomials(below[rho], (num + lcd - den).elements())
+        total = total + times_binomials(preds[rho], (num + lcd - den).elements())
     return QtRational(total, lcd.elements()).as_polynomial()
-
-
-@cache
-def _j_column(content: tuple[int, ...]) -> dict[Partition, QtPolynomial]:
-    """J(lam, content) for every shape lam its strip chains reach."""
-    if not content:
-        return {(): ONE}
-    below = _j_column(content[:-1])
-    shapes = {lam for rho in below for lam in horizontal_strip_extensions(rho, content[-1])}
-    return {lam: _j_step(lam, below) for lam in shapes}
 
 
 @lru_cache(maxsize=1)
@@ -415,7 +412,9 @@ def k_coeff(lam: Partition, mu: Partition) -> QtPolynomial:
         weight = row[column]
         if weight and dominance_leq(nu, mu_c):
             if nu not in j_row:
-                j_row[nu] = _j_step(mu_c, _j_column(nu[:-1]))
+                below = chain_column(nu[:-1], _j_step, ONE).items()
+                preds = {rho: j for rho, j in below if is_horizontal_strip(mu_c, rho)}
+                j_row[nu] = _j_step(mu_c, preds)
             total = total + j_row[nu] * weight
     return total.swap_qt()
 

@@ -598,7 +598,7 @@ class QtRational:
         """The numerator, provided normalization cleared the denominator."""
         if self._den:
             raise ConsistencyError(
-                f"residual denominator {self._den} on {self}"
+                f"residual denominator {self._den_str('str')} on {len(self._num)} terms"
             )
         return self._num
 

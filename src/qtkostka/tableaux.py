@@ -153,28 +153,28 @@ def enumerate_ssyt(shape: Partition, content: Sequence[int]) -> Iterator[Ssyt]:
 
 @cache
 def chain_column(
-    content: tuple[int, ...], weight: Callable[[Partition, Partition], _W]
+    content: tuple[int, ...], step: Callable[[Partition, dict], _W], unit: _W
 ) -> dict[Partition, _W]:
-    """Weighted sums over the horizontal-strip chains of the given content,
-    keyed by last shape: each strip weighs ``weight(bigger, shape)``.
+    """``step(shape, preds)`` for each last shape of the horizontal-strip
+    chains of the given content; the empty content's column is ``{(): unit}``.
 
-    Each shape of the ``content[:-1]`` column is extended by every strip
-    of size ``content[-1]``; terms are added in a fixed order, the first
-    one stored as is, so non-canonical sums come out in the same form.
+    Each shape of the cached ``content[:-1]`` column is extended by every
+    strip of size ``content[-1]``; ``preds`` maps the shapes a new shape
+    was reached from to their entries, in that column's order, which
+    fixes the form of a step's non-canonical sums.
     """
     if not content:
-        return {(): weight((), ())}
-    out: dict[Partition, _W] = {}
-    for shape, acc in chain_column(content[:-1], weight).items():
+        return {(): unit}
+    preds: dict[Partition, dict[Partition, _W]] = {}
+    for shape, entry in chain_column(content[:-1], step, unit).items():
         for bigger in horizontal_strip_extensions(shape, content[-1]):
-            term = acc * weight(bigger, shape)
-            out[bigger] = out[bigger] + term if bigger in out else term
-    return out
+            preds.setdefault(bigger, {})[shape] = entry
+    return {bigger: step(bigger, below) for bigger, below in preds.items()}
 
 
-def _count(bigger: Partition, shape: Partition) -> int:
-    """The unit weight: ``chain_column`` under it counts the chains."""
-    return 1
+def _count(shape: Partition, preds: dict[Partition, int]) -> int:
+    """The counting step: ``chain_column`` under it counts the chains."""
+    return sum(preds.values())
 
 
 def kostka_number(shape: Partition, content: Sequence[int]) -> int:
@@ -183,7 +183,7 @@ def kostka_number(shape: Partition, content: Sequence[int]) -> int:
     if any(c < 0 for c in content):
         raise DomainError(f"negative content {content}")
     # a zero part adds no strip; dropping it keeps the recursion shallow
-    return chain_column(tuple(c for c in content if c), _count).get(partition(shape), 0)
+    return chain_column(tuple(c for c in content if c), _count, 1).get(partition(shape), 0)
 
 
 @cache
@@ -191,7 +191,7 @@ def kostka_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     """The inverse of the integer Kostka matrix K(lam, mu) of degree n,
     as int rows over the descending-lex partitions of n."""
     parts = partitions_of(n)
-    kostka = [[chain_column(mu, _count).get(lam, 0) for mu in parts] for lam in parts]
+    kostka = [[chain_column(mu, _count, 1).get(lam, 0) for mu in parts] for lam in parts]
     return tuple(map(tuple, unitriangular_inverse(kostka, 0)))
 
 

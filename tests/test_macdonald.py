@@ -33,6 +33,7 @@ from qtkostka.qt import (
 )
 from qtkostka.tableaux import (
     enumerate_ssyt,
+    is_horizontal_strip,
     kostka_foulkes,
     kostka_inverse,
     kostka_number,
@@ -72,10 +73,19 @@ def test_k1_entry_matches_direct_psi_sum():
                 assert k1_entry(lam, mu) == direct
 
 
+# the three steps on tableaux.chain_column, with their units
+STEPS = [(tableaux._count, 1), (macdonald._k1_step, 1), (macdonald._j_step, ONE)]
+
+
+def _strip_preds(lam, column):
+    """The entries of ``column`` at the strips lam/rho, in column order."""
+    return {rho: e for rho, e in column.items() if is_horizontal_strip(lam, rho)}
+
+
 def test_columns_extend_the_cached_prefix_column(monkeypatch):
     # with the column of mu[:-1] cached, the column of mu calls
     # horizontal_strip_extensions once per shape of that prefix column,
-    # under the psi weight of K1 and the unit weight of the Kostka numbers
+    # under each of the three steps
     calls = []
     extensions = tableaux.horizontal_strip_extensions
 
@@ -84,16 +94,35 @@ def test_columns_extend_the_cached_prefix_column(monkeypatch):
         return extensions(base, strip_size, limit)
 
     tableaux.chain_column.cache_clear()
-    for weight, mu in [
-        (macdonald._psi_cached, (3, 2, 2, 1)),
-        (tableaux._count, (1, 3, 2, 2)),
-    ]:
-        prefix = tableaux.chain_column(mu[:-1], weight)
+    for (step, unit), mu in zip(STEPS, [(1, 3, 2, 2), (3, 2, 2, 1), (2, 2, 1, 1, 2)]):
+        prefix = tableaux.chain_column(mu[:-1], step, unit)
         monkeypatch.setattr(tableaux, "horizontal_strip_extensions", counting)
         calls.clear()
-        tableaux.chain_column(mu, weight)
+        tableaux.chain_column(mu, step, unit)
         monkeypatch.undo()
-        assert sorted(calls) == sorted(prefix), weight.__name__
+        assert sorted(calls) == sorted(prefix), step.__name__
+
+
+def test_steps_see_their_strip_predecessors_in_column_order():
+    # a step gets the prefix column's entries at the strips lam/rho, in
+    # that column's order; K1 sums its non-canonical terms in this order,
+    # so another order moves stored bytes
+    for step, unit in STEPS:
+        seen = []
+
+        def spy(lam, preds):
+            seen.append((lam, preds))
+            return step(lam, preds)
+
+        for content in [(2, 1, 2, 1), (3, 1, 1, 2), (1, 2, 2, 1, 1)]:
+            prefix = tableaux.chain_column(content[:-1], spy, unit)
+            seen.clear()
+            column = tableaux.chain_column(content, spy, unit)
+            assert column == tableaux.chain_column(content, step, unit)
+            assert [lam for lam, _ in seen] == list(column), step.__name__
+            for lam, preds in seen:
+                assert list(preds.items()) == list(_strip_preds(lam, prefix).items())
+            assert any(len(preds) > 1 for _, preds in seen)
 
 
 def test_j_step_is_the_column_entry():
@@ -101,12 +130,12 @@ def test_j_step_is_the_column_entry():
     # column, zero where the column has no such shape; the column holds
     # every shape with a tableau of its content
     for content in [(3, 2, 1), (2, 2, 1, 1), (4, 2), (1, 3, 2)]:
-        column = macdonald._j_column(content)
-        below = macdonald._j_column(content[:-1])
+        column = tableaux.chain_column(content, macdonald._j_step, ONE)
+        below = tableaux.chain_column(content[:-1], macdonald._j_step, ONE)
         shapes = partitions_of(sum(content))
         assert set(column) == {s for s in shapes if kostka_number(s, content)}
         for shape in shapes:
-            got = macdonald._j_step(shape, below)
+            got = macdonald._j_step(shape, _strip_preds(shape, below))
             assert got == column.get(shape, QtPolynomial.zero()), (content, shape)
 
 
@@ -116,11 +145,11 @@ def test_j_is_c_times_k1():
     # dominance pair to degree 8; so the exact K1 certificate holds for it
     for n in range(1, 9):
         for nu in partitions_of(n):
-            below = macdonald._j_column(nu[:-1])
+            below = tableaux.chain_column(nu[:-1], macdonald._j_step, ONE)
             for lam in partitions_of(n):
                 if dominance_leq(nu, lam):
                     k1 = k1_entry(lam, nu)
-                    j = macdonald._j_step(lam, below)
+                    j = macdonald._j_step(lam, _strip_preds(lam, below))
                     assert j * expand_factors(k1.den) == (
                         expand_factors(c_factors(lam)) * k1.num
                     ), (lam, nu)
@@ -129,12 +158,29 @@ def test_j_is_c_times_k1():
 def test_j_step_raises_on_an_inexact_division(monkeypatch):
     # J is integral, so a sum its denominators do not divide is a bug,
     # raised rather than skipped
-    below = macdonald._j_column((1,))
+    below = tableaux.chain_column((1,), macdonald._j_step, ONE)
     monkeypatch.setattr(
         macdonald, "_j_weight", lambda lam, rho: (Counter(), Counter({(1, 1): 1}))
     )
     with pytest.raises(ConsistencyError, match="residual denominator"):
         macdonald._j_step((2,), below)
+
+
+def test_inexact_j_step_on_a_large_entry_has_a_short_message(monkeypatch):
+    # the CLI prints the message as its one line: it names the factors
+    # left and the numerator's size, not the whole rational
+    lam, nu = (3, 2, 1, 1), (2, 2, 1, 1, 1)
+    below = tableaux.chain_column(nu[:-1], macdonald._j_step, ONE)
+    real = macdonald._j_weight
+
+    def one_more_factor(lam, rho):
+        num, den = real(lam, rho)
+        return num, den + Counter({(1, 1): 1})
+
+    monkeypatch.setattr(macdonald, "_j_weight", one_more_factor)
+    with pytest.raises(ConsistencyError, match="residual denominator") as err:
+        macdonald._j_step(lam, _strip_preds(lam, below))
+    assert len(str(err.value)) < 200, str(err.value)
 
 
 def test_normalization_examples():
@@ -242,23 +288,19 @@ def test_k_coeff_builds_no_psi_column_of_its_degree(monkeypatch):
     lam, mu = (4, 2), (2, 2, 1, 1)
     want = k_coeff(lam, mu)
     macdonald._j_row.cache_clear()
-    macdonald._j_column.cache_clear()
     tableaux.chain_column.cache_clear()
     psi, built = [], []
-    real_chain, real_j = tableaux.chain_column, macdonald._j_column
+    real_chain = tableaux.chain_column
 
-    def chain_spy(content, weight):
-        if weight is macdonald._psi_cached:
+    def chain_spy(content, step, unit):
+        if step is macdonald._k1_step:
             psi.append(content)
-        return real_chain(content, weight)
-
-    def j_spy(content):
-        built.append(content)
-        return real_j(content)
+        if step is macdonald._j_step:
+            built.append(content)
+        return real_chain(content, step, unit)
 
     monkeypatch.setattr(tableaux, "chain_column", chain_spy)
     monkeypatch.setattr(macdonald, "chain_column", chain_spy)
-    monkeypatch.setattr(macdonald, "_j_column", j_spy)
     assert k_coeff(lam, mu) == want
     assert not psi, psi
     assert built
@@ -267,22 +309,24 @@ def test_k_coeff_builds_no_psi_column_of_its_degree(monkeypatch):
 
 def test_k_coeff_computes_each_entry_of_a_j_row_once(monkeypatch):
     # k over every lambda of one mu reads the row J(mu', .), and its one
-    # row memo computes each top-degree entry once
+    # row memo computes each top-degree entry once; the spy also sees the
+    # lower columns' steps, which it rebuilds under its own cache key
     mu = (3, 2, 1, 1)
     lams = partitions_of(sum(mu))
-    want = [k_coeff(lam, mu) for lam in lams]  # builds the lower columns
+    want = [k_coeff(lam, mu) for lam in lams]
     macdonald._j_row.cache_clear()
-    steps = Counter()
+    top = []
     real = macdonald._j_step
 
-    def spy(lam, below):
-        steps[lam, id(below)] += 1
-        return real(lam, below)
+    def spy(lam, preds):
+        if sum(lam) == sum(mu):
+            top.append(lam)
+        return real(lam, preds)
 
     monkeypatch.setattr(macdonald, "_j_step", spy)
     assert [k_coeff(lam, mu) for lam in lams] == want
-    assert set(steps.values()) == {1}, steps
-    assert len(steps) == len(macdonald._j_row(conjugate(mu))) > 1
+    row = macdonald._j_row(conjugate(mu))
+    assert top == [conjugate(mu)] * len(row) and len(row) > 1, top
 
 
 def test_k_coeff_of_unequal_sizes_is_zero_before_any_work(monkeypatch):
